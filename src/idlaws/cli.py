@@ -145,7 +145,7 @@ def _run_verify_id(args) -> int:
     law = _resolve_law(args)
     roots = tuple(int(n) for n in args.roots.split(","))
     report = verify_infinitely_divisible(
-        lambda t: np.exp(log_cf_lk(law, float(t))),
+        lambda t: np.exp(log_cf_lk(law, t)),
         roots_to_check=roots,
         t_max=args.t_max,
         points=args.points,

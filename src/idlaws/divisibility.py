@@ -81,10 +81,6 @@ class CharacteristicFunctionGrid:
     def step(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
 
-    def value_at(self, t: float) -> complex:
-        """CF value at t, interpolating the unwrapped log between grid points."""
-        return complex(np.exp(self.log_at(t)))
-
     def log_at(self, t: float) -> complex:
         t = float(t)
         if t < self.t_grid[0] or t > self.t_grid[-1]:
@@ -120,11 +116,27 @@ def _unwrapped_log(t_grid, values) -> np.ndarray:
     return logs
 
 
+def _sample(evaluator, t_max: float, points: int):
+    """The uniform symmetric t grid, and the evaluator called once on all of
+    it: one value per t, or a scalar for every t."""
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if points < 3 or points % 2 == 0:
+        raise ValueError("points must be an odd integer >= 3")
+    t_grid = np.linspace(-t_max, t_max, points)
+    t_grid[points // 2] = 0.0
+    values = np.asarray(evaluator(t_grid), dtype=complex)
+    if values.ndim and values.shape != t_grid.shape:
+        raise ValueError(f"evaluator gave shape {values.shape} for {points} t")
+    return t_grid, np.array(np.broadcast_to(values, t_grid.shape))
+
+
 def build_cf_grid(
-    evaluator: Callable[[float], complex], t_max: float, points: int
+    evaluator: Callable[[np.ndarray], np.ndarray], t_max: float, points: int
 ) -> CharacteristicFunctionGrid:
     """Sample a CF on a uniform symmetric grid and unwrap its logarithm.
 
+    The evaluator is called once, on the whole t array (see ``_sample``).
     Raises ZeroCrossing when any sample's modulus underflows the log (a hard
     zero), or when the phase jumps by more than ``PHASE_FLIP_THRESHOLD``
     between neighbours (a sign change through zero, invisible to any modulus
@@ -132,13 +144,7 @@ def build_cf_grid(
     exception. Genuinely tiny moduli (a Gaussian CF at large t) are fine: the
     log stays well defined.
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    if points < 3 or points % 2 == 0:
-        raise ValueError("points must be an odd integer >= 3")
-    t_grid = np.linspace(-t_max, t_max, points)
-    t_grid[points // 2] = 0.0
-    values = np.array([complex(evaluator(float(t))) for t in t_grid])
+    t_grid, values = _sample(evaluator, t_max, points)
     if abs(values[points // 2] - 1.0) > 1e-9:
         raise ValueError("evaluator(0) must equal 1")
     values[points // 2] = 1.0
@@ -153,21 +159,16 @@ def build_cf_grid(
 
 
 def build_log_cf_grid(
-    log_evaluator: Callable[[float], complex], t_max: float, points: int
+    log_evaluator: Callable[[np.ndarray], np.ndarray], t_max: float, points: int
 ) -> CharacteristicFunctionGrid:
     """Sample a log CF directly; no unwrapping and no zero-crossing hazard.
 
+    The evaluator is called once, on the whole t array (see ``_sample``).
     The right constructor when the CF modulus underflows float64 inside the
     span (a Gaussian beyond |t| ~ 38) but its exponent stays representable.
     The caller vouches that the samples are a continuous logarithm.
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    if points < 3 or points % 2 == 0:
-        raise ValueError("points must be an odd integer >= 3")
-    t_grid = np.linspace(-t_max, t_max, points)
-    t_grid[points // 2] = 0.0
-    log_values = np.array([complex(log_evaluator(float(t))) for t in t_grid])
+    t_grid, log_values = _sample(log_evaluator, t_max, points)
     if abs(log_values[points // 2]) > 1e-9:
         raise ValueError("log_evaluator(0) must equal 0")
     log_values[points // 2] = 0.0
@@ -267,7 +268,7 @@ def verify_infinitely_divisible(
     """Certify or refute infinite divisibility at desk scale.
 
     Accepts either a prepared CharacteristicFunctionGrid or a plain evaluator
-    t -> complex (a grid is then built on [-t_max, t_max]). FAIL reasons are a
+    of a t array (a grid is then built on [-t_max, t_max] by build_cf_grid). FAIL reasons are a
     zero crossing of the CF or a probe set on which some n-th root's Gram
     matrix has an eigenvalue below -tolerance.
     """

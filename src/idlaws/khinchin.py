@@ -228,8 +228,8 @@ def _half_versine_weight(u):
     # 1 - cos u = 2 sin^2(u/2)
     u = np.asarray(u, dtype=float)
     half = 0.5 * u
-    s = np.where(u == 0.0, 0.5, np.divide(np.sin(half), u, where=u != 0.0))
     # s = sin(u/2)/u -> 1/2 at 0; (1-cos u)/u^2 = 2 s^2
+    s = np.divide(np.sin(half), u, out=np.full_like(u, 0.5), where=u != 0.0)
     return s * s * (1.0 + u * u)
 
 
@@ -486,6 +486,16 @@ def _log_prefix(cf: CharacteristicFunctionGrid) -> np.ndarray:
     return prefix
 
 
+def _cubic_coeffs(f):
+    """Power-basis coefficients of the cubic through f at nodes 0, 1, 2, 3."""
+    return (
+        f[0],
+        (-11 * f[0] + 18 * f[1] - 9 * f[2] + 2 * f[3]) / 6.0,
+        (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / 2.0,
+        (-f[0] + 3 * f[1] - 3 * f[2] + f[3]) / 6.0,
+    )
+
+
 def _interp_prefix(cf: CharacteristicFunctionGrid, s: float) -> complex:
     """Prefix integral at an arbitrary point: cubic across the end cell."""
     prefix = _log_prefix(cf)
@@ -496,20 +506,14 @@ def _interp_prefix(cf: CharacteristicFunctionGrid, s: float) -> complex:
     j0 = int(np.clip(j, 1, t.size - 3))
     f = y[j0 - 1 : j0 + 3]
     base = (j0 - 1) - j  # stencil start in cell-local units
+    c0, c1, c2, c3 = _cubic_coeffs(f)
+
     # antiderivative of the Lagrange cubic, evaluated from cell start to frac
     def anti(x):
         xi = x - base  # coordinate with stencil start at 0; nodes 0,1,2,3
-        c0 = f[0]
-        c1 = (-11 * f[0] + 18 * f[1] - 9 * f[2] + 2 * f[3]) / 6.0
-        c2 = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / 2.0
-        c3 = (-f[0] + 3 * f[1] - 3 * f[2] + f[3]) / 6.0
         return d * (c0 * xi + c1 * xi**2 / 2 + c2 * xi**3 / 3 + c3 * xi**4 / 4)
 
     return complex(prefix[j] + anti(frac) - anti(0.0))
-
-
-def _log_integral_between(cf: CharacteristicFunctionGrid, a: float, b: float) -> complex:
-    return _interp_prefix(cf, b) - _interp_prefix(cf, a)
 
 
 def _cubic_log_at(cf: CharacteristicFunctionGrid, t: float) -> complex:
@@ -521,10 +525,7 @@ def _cubic_log_at(cf: CharacteristicFunctionGrid, t: float) -> complex:
     j0 = int(np.clip(j, 1, tg.size - 3))
     f = y[j0 - 1 : j0 + 3]
     xi = (t - tg[j0 - 1]) / d  # nodes at 0, 1, 2, 3
-    c0 = f[0]
-    c1 = (-11 * f[0] + 18 * f[1] - 9 * f[2] + 2 * f[3]) / 6.0
-    c2 = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / 2.0
-    c3 = (-f[0] + 3 * f[1] - 3 * f[2] + f[3]) / 6.0
+    c0, c1, c2, c3 = _cubic_coeffs(f)
     return complex(c0 + xi * (c1 + xi * (c2 + xi * c3)))
 
 
@@ -537,7 +538,8 @@ def delta(cf: CharacteristicFunctionGrid, t: float) -> complex:
             f"[t-1, t+1] = [{t - 1}, {t + 1}] exceeds the grid span "
             f"[{cf.t_grid[0]}, {cf.t_grid[-1]}]"
         )
-    return _log_integral_between(cf, t - 1.0, t + 1.0) - 2.0 * _cubic_log_at(cf, t)
+    window = _interp_prefix(cf, t + 1.0) - _interp_prefix(cf, t - 1.0)
+    return window - 2.0 * _cubic_log_at(cf, t)
 
 
 def delta_profile(cf: CharacteristicFunctionGrid):
@@ -784,7 +786,7 @@ def invert_cf(
         reference_ts = np.linspace(-lim, lim, 101)
     reference_ts = np.asarray(reference_ts, dtype=float)
     law0 = LevyKhintchinePair(gamma=0.0, G=recovered)
-    base = np.array([log_cf_lk(law0, float(t)) for t in reference_ts])
+    base = log_cf_lk(law0, reference_ts)
     actual = np.array([cf.log_at(float(t)) for t in reference_ts])
     resid = actual - base
     denom = float(np.sum(reference_ts * reference_ts))
@@ -912,9 +914,7 @@ def definetti_sequence(
         t_grid = np.linspace(-5.0, 5.0, 201)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference_log_cf is None:
-        from .canonical import log_cf_lk_profile
-
-        ref_log = log_cf_lk_profile(law, t_grid)
+        ref_log = log_cf_lk(law, t_grid)
     elif callable(reference_log_cf):
         ref_log = np.asarray(reference_log_cf(t_grid), dtype=complex)
     else:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ATOM_LOCATION_TOL = 1e-12
+# steps of fourier_transform's phase recurrence between direct exponentials
+_PHASE_ANCHOR_EVERY = 64
 
 
 class MissingAtomValue(ValueError):
@@ -80,8 +82,8 @@ class CanonicalMeasure:
             raise ValueError("grid edges and values must be finite")
         if values.size and np.min(values) < 0:
             raise ValueError("density cell values must be non-negative")
-        if self.tail_dropped < 0:
-            raise ValueError("tail_dropped must be non-negative")
+        if not np.isfinite(self.tail_dropped) or self.tail_dropped < 0:
+            raise ValueError("tail_dropped must be finite and non-negative")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
@@ -188,21 +190,9 @@ def _lookup_override(overrides, loc):
     return None
 
 
-def _eval_function(f, x):
-    """Evaluate f on an array, falling back to a scalar loop for plain lambdas."""
-    try:
-        out = np.asarray(f(x), dtype=complex)
-        if out.shape == np.shape(x):
-            return out
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    out = np.empty(len(x), dtype=complex)
-    for i, xi in enumerate(x):
-        try:
-            out[i] = complex(f(xi))
-        except ZeroDivisionError:
-            out[i] = complex(np.inf)
-    return out
+def _eval_on(f, x):
+    """f called once on the array x, broadcast to x's shape."""
+    return np.broadcast_to(np.asarray(f(x), dtype=complex), x.shape)
 
 
 def _gauss_nodes(m: CanonicalMeasure, order):
@@ -253,7 +243,7 @@ def integrate(m: CanonicalMeasure, f, atom_values=None, order=20) -> complex:
     nodes, weights = _gauss_nodes(m, order)
     if nodes.size:
         with np.errstate(all="ignore"):
-            fv = _eval_function(f, nodes)
+            fv = _eval_on(f, nodes)
         if not np.all(np.isfinite(fv)):
             raise ValueError("integrand is not finite on a density cell")
         out += complex(np.sum(weights * fv))
@@ -293,7 +283,7 @@ def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
             [m.edges[:-1], 0.5 * (m.edges[:-1] + m.edges[1:]), m.edges[1:]]
         )
         with np.errstate(all="ignore"):
-            wp = _eval_function(w, probes.ravel()).reshape(probes.shape)
+            wp = _eval_on(w, probes)
         if np.any(np.abs(wp.imag) > 0):
             raise ValueError("weight must be real-valued")
         wp = wp.real
@@ -312,7 +302,7 @@ def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
         half = 0.5 * (rights - lefts)
         nodes = centers[:, None] + half[:, None] * x[None, :]
         with np.errstate(all="ignore"):
-            wn = _eval_function(w, nodes.ravel()).reshape(nodes.shape)
+            wn = _eval_on(w, nodes)
         if np.any(np.abs(wn.imag) > 0):
             raise ValueError("weight must be real-valued")
         wn = wn.real
@@ -456,15 +446,16 @@ def quantile(m: CanonicalMeasure, q):
     return float(out[0]) if np.isscalar(q) or np.ndim(q) == 0 else out
 
 
-def fourier_transform(m: CanonicalMeasure, ts, order=20):
+def fourier_transform(m: CanonicalMeasure, ts):
     """Integral of exp(i t u) against the measure, per t.
 
     Atoms contribute exactly; each density cell contributes its closed-form
     transform mass * e^{it c} * sin(t w/2)/(t w/2) (c the cell centre, w its
     width), exact because cell densities are constant. Uniform t grids of 16
-    or more points advance the e^{itc} phases by a per-step recurrence
-    instead of a fresh complex exponential per point. The order argument is
-    kept for signature compatibility; no quadrature is involved.
+    or more points advance the e^{itc} phases by a per-step recurrence,
+    re-anchored on a direct exponential every ``_PHASE_ANCHOR_EVERY`` steps,
+    with each point's rounding off the exact progression corrected to first
+    order; far-out cells thus keep their phase on long grids.
     """
     scalar = np.isscalar(ts) or np.ndim(ts) == 0
     tt = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -477,23 +468,25 @@ def fourier_transform(m: CanonicalMeasure, ts, order=20):
     us = np.concatenate([locs, centers])
     hw = np.concatenate([np.zeros(locs.size), halves])
     ws = np.concatenate([masses, cell_masses])
-    if not us.size:
-        out = np.zeros(tt.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
     out = np.empty(tt.shape, dtype=complex)
     steps = np.diff(tt)
-    uniform = tt.size >= 16 and steps.size and np.allclose(steps, steps[0], rtol=1e-12)
-    if uniform:
-        phase = np.exp(1j * tt[0] * us)
-        step = np.exp(1j * steps[0] * us)
-        for k in range(tt.size):
-            # np.sinc(x) = sin(pi x)/(pi x), so feed it t*hw/pi
-            out[k] = np.dot(ws * np.sinc(tt[k] * hw / np.pi), phase)
-            if k + 1 < tt.size:
-                phase = phase * step
-    else:
-        for k, t in enumerate(tt):
-            out[k] = np.dot(ws * np.sinc(t * hw / np.pi), np.exp(1j * t * us))
+    uniform = tt.size >= 16 and np.allclose(steps, steps[0], rtol=1e-12)
+    every = _PHASE_ANCHOR_EVERY if uniform else 1
+    dt = (tt[-1] - tt[0]) / (tt.size - 1) if uniform else 0.0
+    step = np.exp(1j * dt * us)
+    for k, t in enumerate(tt):
+        j = k % every
+        if j == 0:
+            anchor, phase = t, np.exp(1j * t * us)
+        else:
+            phase = phase * step
+        # np.sinc(x) = sin(pi x)/(pi x), so feed it t*hw/pi
+        wk = ws * np.sinc(t * hw / np.pi)
+        out[k] = np.dot(wk, phase)
+        # e^{iu(t - t')} ~ 1 + iu(t - t') for the grid's rounding t - t'
+        off = (t - anchor) - j * dt
+        if off:
+            out[k] += 1j * off * np.dot(wk * us, phase)
     return complex(out[0]) if scalar else out
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .canonical import LevyKhintchinePair, log_cf_lk_profile, scale_law
+from .canonical import LevyKhintchinePair, log_cf_lk, scale_law
 from .khinchin import TruncationResult, truncate_cp
 from .measure import quantile
 
@@ -204,14 +204,14 @@ def scaling_check(
     t_grid = np.asarray(t_grid, dtype=float)
     if any(not lam > 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
-    base_log = log_cf_lk_profile(law, t_grid)
+    base_log = log_cf_lk(law, t_grid)
     horizon = max(lambdas)
     spec = ProcessSpec(law=law, epsilon=epsilon, horizon=horizon, seed=seed)
     entries = []
     for j, lam in enumerate(lambdas):
         scaled = scale_law(law, lam)
         exact_err = float(
-            np.max(np.abs(log_cf_lk_profile(scaled, t_grid) - lam * base_log))
+            np.max(np.abs(log_cf_lk(scaled, t_grid) - lam * base_log))
         )
         x = sample_increments(spec, lam, draws, stream_for(seed, j, 0))
         est = empirical_cf(x, t_grid)

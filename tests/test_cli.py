@@ -247,6 +247,25 @@ def test_convert_artifact_feeds_back_as_law_file(tmp_path, capsys) -> None:
     assert np.max(np.abs(rows[:, 4] - np.sin(t))) < 1e-9
 
 
+def test_overflowing_law_file_is_domain_error(tmp_path, capsys) -> None:
+    # a finite density of 1e308 on [0, 1]: its log CF overflows for most t
+    law_file = tmp_path / "law.json"
+    law_file.write_text(
+        json.dumps(
+            {"form": "lk", "gamma": 0.0,
+             "measures": {"G": {"atoms": [],
+                                "grid": {"edges": [0.0, 1.0], "values": [1e308]}}}}
+        )
+    )
+    out = tmp_path / "eval.csv"
+    code, stdout, _ = run(
+        ["eval", "--law", str(law_file), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert json.loads(stdout)["error"]["code"] == "NonFiniteLogCF"
+    assert not out.exists()
+
+
 def test_missing_law_file_is_io_error(capsys) -> None:
     code, _, stderr = run(["eval", "--law", "/nonexistent/law.json"], capsys)
     assert code == 1

@@ -9,6 +9,7 @@ from idlaws.divisibility import (
     TriangularArrayRow,
     ZeroCrossing,
     build_cf_grid,
+    build_log_cf_grid,
     grid_to_csv,
     nth_root,
     psd_check,
@@ -64,10 +65,27 @@ def test_build_uniform_law_zero_crossing() -> None:
 
 def test_build_hard_zero_detected() -> None:
     def clipped(t):
-        return gaussian_cf(t) if abs(t) < 3 else 0.0
+        return np.where(np.abs(t) < 3, gaussian_cf(t), 0.0)
 
     with pytest.raises(ZeroCrossing):
         build_cf_grid(clipped, t_max=5.0, points=101)
+
+
+def test_builders_call_the_evaluator_once_on_the_whole_grid() -> None:
+    calls = []
+
+    def log_evaluator(t):
+        calls.append(np.shape(t))
+        return -0.5 * t * t
+
+    g = build_log_cf_grid(log_evaluator, t_max=10.0, points=201)
+    assert calls == [(201,)]
+    assert np.max(np.abs(g.log_values + 0.5 * g.t_grid**2)) < 1e-12
+    calls.clear()
+    build_cf_grid(lambda t: np.exp(log_evaluator(t)), t_max=10.0, points=201)
+    assert calls == [(201,)]
+    with pytest.raises(ValueError):
+        build_log_cf_grid(lambda t: np.zeros(3), t_max=1.0, points=11)
 
 
 def test_build_rejects_bad_grid_parameters() -> None:

@@ -515,7 +515,7 @@ def test_invert_two_atom_compound_poisson() -> None:
     jump = CanonicalMeasure.from_atoms([(-2.0, 0.25), (1.0, 0.75)])
     law = catalog("compound_poisson", CompoundPoissonSpec(rate=0.8, jump=jump))
     cf = build_cf_grid(
-        lambda t: np.exp(log_cf_lk(law, float(t))), t_max=81.0, points=16201
+        lambda t: np.exp(log_cf_lk(law, t)), t_max=81.0, points=16201
     )
     inv = invert_cf(cf)
     # G carries u^2/(1+u^2) nu: 0.2*(4/5) at -2 and 0.6*(1/2) at 1
@@ -545,8 +545,8 @@ def test_invert_tolerates_legal_noise() -> None:
 
     def noisy_log(t):
         clean = np.exp(1j * t) - 1.0
-        return clean + complex(
-            np.interp(t, base_ts, re_noise), np.interp(t, base_ts, im_noise)
+        return clean + (
+            np.interp(t, base_ts, re_noise) + 1j * np.interp(t, base_ts, im_noise)
         )
 
     cf = build_log_cf_grid(noisy_log, t_max=81.0, points=n)

@@ -302,6 +302,21 @@ def test_fourier_transform_uniform_cell_closed_form() -> None:
         assert abs(fourier_transform(m, t) - expect) < 1e-12
 
 
+def test_fourier_transform_far_atom_keeps_phase_on_long_grid() -> None:
+    """The phase recurrence stays on the direct exponential for large t*u.
+
+    Compared per point on 16,201 uniform t with t*u up to 4e5, where the
+    direct exponential's own argument rounds by up to 2.9e-11; an unanchored
+    recurrence drifts to 4e-7. On a dyadic grid t*u is exact, and the two
+    agree to 1e-12.
+    """
+    m = CanonicalMeasure.from_atoms([(5000.0, 1.0)])
+    ts = np.linspace(-81.0, 81.0, 16201)
+    assert np.max(np.abs(fourier_transform(m, ts) - np.exp(1j * ts * 5000.0))) < 1e-10
+    ts = np.linspace(-63.28125, 63.28125, 16201)  # step 2**-7
+    assert np.max(np.abs(fourier_transform(m, ts) - np.exp(1j * ts * 5000.0))) < 1e-12
+
+
 # -- JSON round trip -------------------------------------------------------------
 
 
@@ -325,6 +340,12 @@ def test_json_schema_shape() -> None:
     assert d["atoms"] == [[0.0, 1.0]]
     assert d["grid"] == {"edges": [0.0, 1.0], "values": [2.0]}
     assert from_json_dict(json.loads(json.dumps(d))).atoms == m.atoms
+
+
+def test_tail_dropped_must_be_finite() -> None:
+    for bad in (np.nan, np.inf, -1e-12):
+        with pytest.raises(ValueError):
+            CanonicalMeasure.from_density([0.0, 1.0], [1.0], tail_dropped=bad)
 
 
 def test_json_preserves_truncation_note() -> None:
