@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.stats import norm
 
 from .canonical import (
     CompoundPoissonSpec,
@@ -166,9 +164,10 @@ def gaussian_root_distribution(h: float, sigma2: float = 1.0, cells: int = 800) 
     """The h-th convolution root of a Gaussian: Normal(0, h*sigma2) on a grid."""
     sd = math.sqrt(h * sigma2)
     edges = np.linspace(-8.0 * sd, 8.0 * sd, cells + 1)
-    cdf_vals = norm.cdf(edges, scale=sd)
+    # the normal cdf as erfc, which keeps the ~1e-15 lower tail that 1 + erf loses
+    cdf_vals = np.array([0.5 * math.erfc(-x / (sd * math.sqrt(2.0))) for x in edges])
     masses = np.diff(cdf_vals)
-    dropped = float(2.0 * norm.cdf(edges[0], scale=sd))
+    dropped = float(2.0 * cdf_vals[0])
     return CanonicalMeasure.from_cell_masses(edges, masses, tail_dropped=dropped)
 
 
@@ -577,11 +576,55 @@ def _taper_window(ts: np.ndarray, t_span: float) -> np.ndarray:
     return w
 
 
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on n points spaced h apart.
+
+    An even n takes Cartwright's correction on the last interval (+5h/12,
+    +2h/3, -h/12 on the last three points), as scipy.integrate.simpson does.
+    """
+    if n < 3:
+        return np.full(n, h / 2.0 if n == 2 else 0.0)
+    odd = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[1 : odd - 1 : 2] = 4.0 * h / 3.0
+    w[2 : odd - 1 : 2] = 2.0 * h / 3.0
+    w[0] = w[odd - 1] = h / 3.0
+    if odd < n:
+        w[-3:] += (-h / 12.0, 2.0 * h / 3.0, 5.0 * h / 12.0)
+    return w
+
+
+def _even_step(x: np.ndarray) -> Optional[float]:
+    """The step of an evenly spaced x (0.0 for fewer than two points), else None."""
+    if x.size < 2:
+        return 0.0
+    step = (x[-1] - x[0]) / (x.size - 1)
+    drift = np.max(np.abs(x - (x[0] + step * np.arange(x.size))))
+    return float(step) if drift <= 1e-12 * np.max(np.abs(x)) else None
+
+
+def _chirp_z(a: np.ndarray, t0: float, h: float, u0: float, du: float, m: int) -> np.ndarray:
+    """sum_k a_k e^{i u_j t_k} for t_k = t0 + k h and u_j = u0 + j du, j < m.
+
+    Bluestein's chirp-z transform: jk = (j^2 + k^2 - (j-k)^2)/2 turns the
+    sum into a convolution with the chirp e^{-i du h n^2/2}, done by FFT.
+    """
+    n = a.size
+    half_alpha = 0.5 * du * h
+    k = np.arange(n)
+    j = np.arange(m)
+    size = 1 << (n + m - 2).bit_length()
+    x = np.fft.fft(a * np.exp(1j * (u0 * h * k + half_alpha * k * k)), size)
+    lags = np.concatenate([np.arange(m), np.arange(-size + m, 0)])
+    chirp = np.fft.fft(np.exp(-1j * half_alpha * lags * lags))
+    conv = np.fft.ifft(x * chirp)[:m]
+    return np.exp(1j * ((u0 + du * j) * t0 + half_alpha * j * j)) * conv
+
+
 def k_from_delta(
     delta_ts: np.ndarray,
     delta_values: np.ndarray,
     u_points,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Principal-value Fourier inversion of Delta into K values.
 
@@ -589,8 +632,15 @@ def k_from_delta(
     / t * W(t) dt with W the raised-cosine taper on [T/2, T]. The symmetric
     limit makes K(0) = 0 exactly and yields midpoint values at jumps.
 
+    The integral is composite Simpson on the evenly spaced delta_ts. With
+    its weights w folded in, c = w W Re Delta / t and d = w W Im Delta / t
+    for t > 0, K = (sum d + Im sum (c - i d) e^{iut} + u w_0 Re Delta(0)) / pi.
+    The sum over t is a chirp-z transform when u_points are evenly spaced
+    and a direct sum, one row per u, otherwise.
+
     Raises InsufficientSpan when the Delta grid ends below T = 40 and
-    ValueError when Delta breaks conjugate symmetry.
+    ValueError when delta_ts are not evenly spaced or Delta breaks
+    conjugate symmetry.
     """
     delta_ts = np.asarray(delta_ts, dtype=float)
     delta_values = np.asarray(delta_values, dtype=complex)
@@ -599,6 +649,9 @@ def k_from_delta(
         raise InsufficientSpan(
             f"Delta spans only [0, {t_span:.3g}]; need at least {MIN_INVERSION_SPAN}"
         )
+    h = _even_step(delta_ts)
+    if h is None or h <= 0.0:
+        raise ValueError("delta_ts must be increasing and evenly spaced")
     sym = delta_values[::-1].conj()
     if np.max(np.abs(sym - delta_values)) > 1e-9 * max(
         1.0, float(np.max(np.abs(delta_values)))
@@ -606,21 +659,20 @@ def k_from_delta(
         raise ValueError("Delta values violate conjugate symmetry")
     pos = delta_ts >= 0.0
     ts = delta_ts[pos]
-    dv = delta_values[pos]
-    window = _taper_window(ts, t_span)
-    re_w = dv.real * window
-    im_w = dv.imag * window
-    safe_t = np.where(ts == 0.0, 1.0, ts)
+    dw = delta_values[pos] * _taper_window(ts, t_span) * _simpson_weights(ts.size, h)
+    at_zero = ts == 0.0
+    # t -> 0 limit of the integrand is u * Re Delta(0)
+    zero_slope = float(np.sum(dw.real[at_zero]))
+    a = np.where(at_zero, 0.0, dw.conj() / np.where(at_zero, 1.0, ts))
 
     u_points = np.atleast_1d(np.asarray(u_points, dtype=float))
-    out = np.empty(u_points.size)
-    for start in range(0, u_points.size, chunk):
-        u = u_points[start : start + chunk, None]
-        tu = u * ts[None, :]
-        integrand = (np.sin(tu) * re_w + (1.0 - np.cos(tu)) * im_w) / safe_t
-        # t -> 0 limit of the integrand is u * Re Delta(0)
-        integrand[:, ts == 0.0] = u * re_w[ts == 0.0]
-        out[start : start + chunk] = simpson(integrand, x=ts, axis=1) / np.pi
+    du = _even_step(u_points)
+    if du is None:
+        sums = np.array([a @ np.exp(1j * u * ts) for u in u_points])
+    else:
+        sums = _chirp_z(a, float(ts[0]), h, float(u_points[0]), du, u_points.size)
+    out = (sums.imag - np.sum(a.imag) + u_points * zero_slope) / np.pi
+    out[u_points == 0.0] = 0.0
     return out
 
 

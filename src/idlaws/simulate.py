@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .canonical import LevyKhintchinePair, log_cf_lk, scale_law
 from .khinchin import TruncationResult, truncate_cp
@@ -40,8 +39,11 @@ def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
         raise ValueError("interval_index must lie in [0, 2^20)")
     if path_index < 0:
         raise ValueError("path_index must be non-negative")
-    offset = path_index * _INTERVALS_PER_PATH + interval_index
-    return np.random.Generator(np.random.Philox(key=seed).jumped(offset))
+    # Philox(key).jumped(offset) is the counter offset * 2^128 (mod 2^256),
+    # set here directly; uint64 keeps words >= 2^63 from casting through float
+    offset = (path_index * _INTERVALS_PER_PATH + interval_index) % (1 << 128)
+    counter = np.array([0, 0, offset & ((1 << 64) - 1), offset >> 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,21 @@ class TriangularArrayReport:
         }
 
 
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic, sup |F_a - F_b| on the pooled sample.
+
+    The supremum is a multiple of 1/lcm(len(a), len(b)); it is rounded to
+    that multiple, as scipy.stats.ks_2samp does in its exact mode.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    lcm = math.lcm(a.size, b.size)
+    return round(float(np.max(np.abs(cdf_a - cdf_b))) * lcm) / lcm
+
+
 def triangular_array_check(
     law: LevyKhintchinePair,
     n: int,
@@ -274,7 +291,7 @@ def triangular_array_check(
     sums = np.zeros(draws)
     for j in range(n):
         sums += sample_increments(spec, 1.0 / n, draws, stream_for(seed, 1, j))
-    statistic = float(ks_2samp(direct, sums).statistic)
+    statistic = ks_statistic(direct, sums)
     critical = KS_CRITICAL_1PCT * math.sqrt((draws + draws) / (draws * draws))
     return TriangularArrayReport(
         n=n,

@@ -1,10 +1,15 @@
 """Tests for the command line front door: verbs, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import idlaws
 from idlaws.cli import main
 
 
@@ -286,3 +291,23 @@ def test_output_dir_env_default(tmp_path, capsys, monkeypatch) -> None:
     )
     assert code == 0
     assert (tmp_path / "eval.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy() -> None:
+    # scipy is a test oracle only; importing it would cost every CLI start ~1 s
+    code = (
+        "import idlaws.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    # the child imports the same idlaws as this test run
+    src = str(Path(idlaws.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.stats import norm
 
 from idlaws.canonical import (
     CompoundPoissonSpec,
@@ -20,6 +22,8 @@ from idlaws.khinchin import (
     NoConvergence,
     OutOfRange,
     SignViolation,
+    _simpson_weights,
+    _taper_window,
     definetti_sequence,
     delta,
     delta_kernel_weight,
@@ -141,6 +145,17 @@ def test_g_h_gaussian_root_mass() -> None:
     # small-h expansion of E[v^2/(1+v^2)]/h for v ~ N(0, h): 1 - 3h + 15h^2
     assert abs(total_mass(gh) - (1.0 - 3.0 * h + 15.0 * h * h)) < 1e-4
     assert abs(total_mass(gh) - 0.9714664696) < 1e-6  # regression pin
+
+
+@pytest.mark.parametrize("h, sigma2", [(1e-2, 1.0), (1e-4, 2.5), (1.0, 1.0)])
+def test_gaussian_root_masses_match_normal_cdf(h, sigma2) -> None:
+    root = gaussian_root_distribution(h, sigma2)
+    sd = math.sqrt(h * sigma2)
+    edges = np.linspace(-8.0 * sd, 8.0 * sd, 801)
+    masses = root.values * np.diff(root.edges)
+    assert np.max(np.abs(masses - np.diff(norm.cdf(edges, scale=sd)))) < 1e-15
+    dropped = 2.0 * norm.cdf(edges[0], scale=sd)
+    assert abs(root.tail_dropped - dropped) < 1e-12 * dropped
 
 
 def test_g_h_symmetric_atoms_exact() -> None:
@@ -435,6 +450,78 @@ def test_k_from_delta_rejects_asymmetry() -> None:
     ts = np.linspace(-50.0, 50.0, 2001)
     with pytest.raises(ValueError):
         k_from_delta(ts, ts.astype(complex), [0.5])  # real odd profile
+
+
+def test_k_from_delta_rejects_uneven_grid() -> None:
+    x = np.linspace(-50.0, 50.0, 2001)
+    ts = x * np.abs(x) / 50.0  # symmetric, spans [-50, 50], uneven steps
+    with pytest.raises(ValueError, match="evenly spaced"):
+        k_from_delta(ts, np.full(ts.size, -1.0 / 3.0, dtype=complex), [0.5])
+
+
+def _k_from_delta_dense(delta_ts, delta_values, u_points) -> np.ndarray:
+    """Reference inversion: the dense u x t integrand under scipy's simpson."""
+    pos = delta_ts >= 0.0
+    ts = delta_ts[pos]
+    window = _taper_window(ts, float(delta_ts[-1]))
+    re_w = delta_values[pos].real * window
+    im_w = delta_values[pos].imag * window
+    u = np.atleast_1d(np.asarray(u_points, dtype=float))[:, None]
+    tu = u * ts[None, :]
+    safe_t = np.where(ts == 0.0, 1.0, ts)
+    integrand = (np.sin(tu) * re_w + (1.0 - np.cos(tu)) * im_w) / safe_t
+    integrand[:, ts == 0.0] = u * re_w[ts == 0.0]
+    return simpson(integrand, x=ts, axis=1) / np.pi
+
+
+_CP_SKEW = CompoundPoissonSpec(
+    rate=1.5, jump=CanonicalMeasure.from_atoms([(-2.0, 0.25), (0.5, 0.25), (1.5, 0.5)])
+)
+
+
+@pytest.mark.parametrize("span", [40.0, 40.01])  # 4,001 and 4,002 points t >= 0
+@pytest.mark.parametrize(
+    "law",
+    [
+        catalog("poisson", 1.0, 1.0),
+        catalog("gaussian", 0.0, 1.0),
+        catalog("compound_poisson", _CP_SKEW),
+    ],
+    ids=["poisson", "gaussian", "cp-skew"],
+)
+def test_k_from_delta_matches_dense_simpson(law, span) -> None:
+    t_max = span + 1.0
+    cf = build_log_cf_grid(
+        lambda t: log_cf_lk(law, t), t_max=t_max, points=2 * int(round(t_max / 0.01)) + 1
+    )
+    ts, dv = delta_profile(cf)
+    assert np.count_nonzero(ts >= 0.0) == int(round(span / 0.01)) + 1
+    even_u = np.arange(-3.0, 3.0 + 1e-9, 0.005)
+    uneven_u = np.array([-2.2, -0.4, 0.0, 0.3, 1.1, 2.9])
+    for u in (even_u, uneven_u):
+        k = k_from_delta(ts, dv, u)
+        assert np.max(np.abs(k - _k_from_delta_dense(ts, dv, u))) < 1e-12
+    assert k_from_delta(ts, dv, uneven_u)[2] == 0.0
+
+
+def test_k_from_delta_grid_without_zero() -> None:
+    # an even-length symmetric grid: the first t >= 0 is half a step
+    ts = np.linspace(-40.005, 40.005, 8002)
+    dv = -2.0 * (1.0 - math.sin(1.0)) * np.exp(1j * ts)  # Poisson(1) Delta
+    u = np.linspace(-2.0, 2.0, 401)
+    k = k_from_delta(ts, dv, u)
+    assert np.max(np.abs(k - _k_from_delta_dense(ts, dv, u))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+def test_simpson_weights_match_scipy(n) -> None:
+    h = 0.37
+    w = _simpson_weights(n, h)
+    assert np.max(np.abs(w - simpson(np.eye(n), dx=h, axis=1))) < 1e-15
+    if n % 2 == 0 and n > 2:
+        # Cartwright's end correction on top of the odd rule on n - 1 points
+        added = w[-3:] - np.append(_simpson_weights(n - 1, h)[-2:], 0.0)
+        assert np.allclose(added, [-h / 12.0, 2.0 * h / 3.0, 5.0 * h / 12.0], rtol=0, atol=1e-15)
 
 
 def test_k_poisson_jump_midpoint(poisson_inversion) -> None:

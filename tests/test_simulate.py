@@ -16,6 +16,7 @@ from idlaws.simulate import (
     ProcessSpec,
     empirical_cf,
     empirical_cf_to_csv,
+    ks_statistic,
     paths_to_csv,
     sample_increment,
     sample_increments,
@@ -71,6 +72,23 @@ def test_stream_for_is_deterministic() -> None:
     assert np.array_equal(a, b)
     c = stream_for(42, 3, 6).normal(size=4)
     assert not np.array_equal(a, c)
+
+
+def _plain(state):
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize(
+    "offset", [0, 5, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 128) - 1, (1 << 128) + 7]
+)
+def test_stream_for_matches_jumped_philox(offset) -> None:
+    path, interval = divmod(offset, 1 << 20)
+    got = stream_for(99, path, interval)
+    want = np.random.Generator(np.random.Philox(key=99).jumped(offset))
+    assert _plain(got.bit_generator.state) == _plain(want.bit_generator.state)
+    assert np.array_equal(got.integers(0, 1 << 62, size=9), want.integers(0, 1 << 62, size=9))
 
 
 def test_stream_for_validates_indices() -> None:
@@ -227,6 +245,14 @@ def test_triangular_array_poisson() -> None:
 
 
 # -- process invariants ---------------------------------------------------------------
+
+
+def test_ks_statistic_matches_scipy() -> None:
+    rng = np.random.default_rng(5)
+    tied = rng.poisson(3.0, 2000).astype(float), rng.poisson(3.2, 2000).astype(float)
+    unequal = rng.normal(size=700), rng.normal(0.1, 1.0, size=1300)
+    for a, b in (tied, unequal, unequal[::-1]):
+        assert ks_statistic(a, b) == ks_2samp(a, b).statistic
 
 
 def test_stationarity_of_increments(mixed_increments) -> None:
