@@ -42,8 +42,10 @@ class BadParameter(ValueError):
 
 DEFAULT_VARIANCE_BOUND = 1e12
 
-# (exp(ix) - 1 - ix)/x**2 power-series coefficients: i**k / k! for k = 2..17
-_REMAINDER_COEFFS = [1j**k / math.factorial(k) for k in range(2, 18)]
+# (exp(ix) - 1 - ix)/x**2 = sum of i**k x**(k-2) / k! for k = 2..17, split into
+# real (k even) and imaginary (k odd, over x) power series in x**2
+_REMAINDER_RE = [(-1) ** m / math.factorial(2 * m) for m in range(1, 9)]
+_REMAINDER_IM = [(-1) ** m / math.factorial(2 * m + 1) for m in range(1, 9)]
 
 
 def exp_remainder2(x):
@@ -55,16 +57,18 @@ def exp_remainder2(x):
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
     small = np.abs(x) < 0.5
-    if np.any(small):
-        xs = x[small]
-        acc = np.zeros(xs.shape, dtype=complex)
-        for c in reversed(_REMAINDER_COEFFS):
-            acc = acc * xs + c
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        out[big] = (np.exp(1j * xb) - 1 - 1j * xb) / (xb * xb)
+    xs = x[small]
+    y = xs * xs
+    re, im = np.zeros_like(y), np.zeros_like(y)
+    for cr, ci in zip(reversed(_REMAINDER_RE), reversed(_REMAINDER_IM)):
+        re *= y
+        re += cr
+        im *= y
+        im += ci
+    out.real[small] = re
+    out.imag[small] = xs * im
+    xb = x[~small]
+    out[~small] = (np.exp(1j * xb) - 1 - 1j * xb) / (xb * xb)
     return out
 
 

@@ -153,16 +153,23 @@ def cdf(m: CanonicalMeasure, u):
     return float(out) if np.isscalar(u) or uu.ndim == 0 else out
 
 
+def _atoms_between(m: CanonicalMeasure, lo, hi, include_lo, include_hi):
+    """Locations and masses of the atoms inside the interval from lo to hi."""
+    if np.isnan(lo) or np.isnan(hi):
+        raise ValueError("interval bounds must not be NaN")
+    locs, masses = m._atom_arrays()
+    left = locs >= lo if include_lo else locs > lo
+    right = locs <= hi if include_hi else locs < hi
+    return locs[left & right], masses[left & right]
+
+
 def mass_between(m: CanonicalMeasure, lo, hi, include_lo=True, include_hi=True) -> float:
     """Mass of the interval from lo to hi with the given endpoint conventions."""
+    _, masses = _atoms_between(m, lo, hi, include_lo, include_hi)
     if hi < lo:
         return 0.0
-    mass = 0.0
-    for loc, amass in m.atoms:
-        left_ok = loc > lo or (include_lo and loc == lo)
-        right_ok = loc < hi or (include_hi and loc == hi)
-        if left_ok and right_ok:
-            mass += amass
+    # summed in atom order, as a running total
+    mass = float(np.cumsum(masses)[-1]) if masses.size else 0.0
     if m.values.size:
         cum = m._cum_at_edges()
         hi_c = float(np.interp(hi, m.edges, cum, left=0.0, right=cum[-1]))
@@ -330,25 +337,14 @@ def restrict(
     m: CanonicalMeasure, lo=-np.inf, hi=np.inf, include_lo=True, include_hi=True
 ) -> CanonicalMeasure:
     """The measure restricted to a single interval (cells split at the cut)."""
-    new_atoms = []
-    for loc, mass in m.atoms:
-        left_ok = loc > lo or (include_lo and loc == lo)
-        right_ok = loc < hi or (include_hi and loc == hi)
-        if left_ok and right_ok:
-            new_atoms.append((loc, mass))
-    pieces = []
-    for a, b, v in zip(m.edges[:-1], m.edges[1:], m.values):
-        na, nb = max(float(a), lo), min(float(b), hi)
-        if nb > na:
-            pieces.append((na, nb, float(v)))
-    if pieces:
-        edges = np.array([pieces[0][0]] + [p[1] for p in pieces])
-        values = np.array([p[2] for p in pieces])
-    else:
-        edges = np.empty(0)
-        values = np.empty(0)
+    locs, masses = _atoms_between(m, lo, hi, include_lo, include_hi)
+    a, b = np.maximum(m.edges[:-1], lo), np.minimum(m.edges[1:], hi)
+    keep = b > a
     return CanonicalMeasure(
-        atoms=tuple(new_atoms), edges=edges, values=values, tail_dropped=m.tail_dropped
+        atoms=tuple(zip(locs, masses)),
+        edges=np.concatenate([a[keep][:1], b[keep]]),
+        values=m.values[keep],
+        tail_dropped=m.tail_dropped,
     )
 
 
@@ -370,13 +366,9 @@ def combine(a: CanonicalMeasure, b: CanonicalMeasure) -> CanonicalMeasure:
         else:
             edges = np.concatenate([first.edges, second.edges])
             values = np.concatenate([first.values, [0.0], second.values])
-    atoms = dict(a.atoms)
-    for loc, mass in b.atoms:
-        if loc in atoms:
-            raise ValueError(f"both measures carry an atom at u={loc}")
-        atoms[loc] = mass
+    # an atom location carried by both measures fails the constructor's check
     return CanonicalMeasure(
-        atoms=tuple(atoms.items()),
+        atoms=a.atoms + b.atoms,
         edges=edges,
         values=values,
         tail_dropped=a.tail_dropped + b.tail_dropped,
@@ -405,27 +397,28 @@ def _quantile_pieces(m: CanonicalMeasure):
     cached = getattr(m, "_quantile_cache", None)
     if cached is not None:
         return cached
-    events = []
-    for a, b, v in zip(m.edges[:-1], m.edges[1:], m.values):
-        if v > 0:
-            events.append((float(a), float(b), v * (b - a)))
-    for loc, mass in m.atoms:
-        split = []
-        for a, b, cmass in events:
-            if a < loc < b:
-                v = cmass / (b - a)
-                split.append((a, loc, v * (loc - a)))
-                split.append((loc, b, v * (b - loc)))
-            else:
-                split.append((a, b, cmass))
-        events = split
-        events.append((loc, loc, mass))
-    events.sort(key=lambda p: (p[0], p[1]))
-    pl = np.array([e[0] for e in events])
-    pr = np.array([e[1] for e in events])
-    cum = np.cumsum([e[2] for e in events]) if events else np.empty(0)
-    object.__setattr__(m, "_quantile_cache", (pl, pr, cum))
-    return pl, pr, cum
+    keep = m.values > 0
+    left, right = m.edges[:-1][keep], m.edges[1:][keep]
+    mass = m.values[keep] * (right - left)
+    locs, amass = m._atom_arrays()
+    # an atom strictly inside a cell splits it (cell -1, left of every cell,
+    # reads the -inf sentinel); the r-th atom of a cell splits what the earlier
+    # ones left, at that remainder's own density, as one split per atom would
+    cell = np.searchsorted(left, locs) - 1
+    inner = locs < np.append(right, -np.inf)[cell]
+    cell, cut = cell[inner], locs[inner]
+    rank = np.arange(cell.size) - np.searchsorted(cell, cell)
+    pieces = [(locs, locs, amass)]
+    for r in range(rank.max(initial=-1) + 1):
+        c, u = cell[rank == r], cut[rank == r]
+        v = mass[c] / (right[c] - left[c])
+        pieces.append((left[c], u, v * (u - left[c])))
+        left[c], mass[c] = u, v * (right[c] - u)
+    pl, pr, pm = (np.concatenate(x) for x in zip(*pieces, (left, right, mass)))
+    order = np.lexsort((pr, pl))
+    pieces = (pl[order], pr[order], np.cumsum(pm[order]))
+    object.__setattr__(m, "_quantile_cache", pieces)
+    return pieces
 
 
 def quantile(m: CanonicalMeasure, q):
@@ -439,7 +432,7 @@ def quantile(m: CanonicalMeasure, q):
     total = cum[-1]
     target = qq * total
     idx = np.minimum(np.searchsorted(cum, target, side="left"), cum.size - 1)
-    cum_left = np.concatenate([[0.0], cum])[idx]
+    cum_left = np.where(idx > 0, cum[idx - 1], 0.0)
     size = cum[idx] - cum_left
     frac = np.where(size > 0, (target - cum_left) / np.where(size > 0, size, 1.0), 0.0)
     out = pl[idx] + np.clip(frac, 0.0, 1.0) * (pr[idx] - pl[idx])
@@ -451,11 +444,12 @@ def fourier_transform(m: CanonicalMeasure, ts):
 
     Atoms contribute exactly; each density cell contributes its closed-form
     transform mass * e^{it c} * sin(t w/2)/(t w/2) (c the cell centre, w its
-    width), exact because cell densities are constant. Uniform t grids of 16
-    or more points advance the e^{itc} phases by a per-step recurrence,
-    re-anchored on a direct exponential every ``_PHASE_ANCHOR_EVERY`` steps,
-    with each point's rounding off the exact progression corrected to first
-    order; far-out cells thus keep their phase on long grids.
+    width), exact because cell densities are constant; the sinc is taken once
+    per distinct width. Uniform t grids of 16 or more points advance the
+    e^{itc} phases by a per-step recurrence, re-anchored on a direct
+    exponential every ``_PHASE_ANCHOR_EVERY`` steps, with each point's rounding
+    off the exact progression corrected to first order; far-out cells thus
+    keep their phase on long grids.
     """
     scalar = np.isscalar(ts) or np.ndim(ts) == 0
     tt = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -463,30 +457,31 @@ def fourier_transform(m: CanonicalMeasure, ts):
     widths = np.diff(m.edges)
     keep = m.values * widths > 0
     centers = (0.5 * (m.edges[:-1] + m.edges[1:]))[keep]
-    halves = (0.5 * widths)[keep]
-    cell_masses = (m.values * widths)[keep]
     us = np.concatenate([locs, centers])
-    hw = np.concatenate([np.zeros(locs.size), halves])
-    ws = np.concatenate([masses, cell_masses])
+    hw = np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]])
+    ws = np.concatenate([masses, (m.values * widths)[keep]])
+    hw_distinct, which = np.unique(hw, return_inverse=True)
     out = np.empty(tt.shape, dtype=complex)
     steps = np.diff(tt)
     uniform = tt.size >= 16 and np.allclose(steps, steps[0], rtol=1e-12)
     every = _PHASE_ANCHOR_EVERY if uniform else 1
     dt = (tt[-1] - tt[0]) / (tt.size - 1) if uniform else 0.0
     step = np.exp(1j * dt * us)
+    # rows: the weights, and the weights times u for the rounding correction
+    rows = np.stack([ws, ws * us])
+    wk = np.empty_like(rows)
     for k, t in enumerate(tt):
         j = k % every
         if j == 0:
             anchor, phase = t, np.exp(1j * t * us)
         else:
-            phase = phase * step
+            phase *= step
         # np.sinc(x) = sin(pi x)/(pi x), so feed it t*hw/pi
-        wk = ws * np.sinc(t * hw / np.pi)
-        out[k] = np.dot(wk, phase)
+        np.multiply(rows, np.sinc(t * hw_distinct / np.pi)[which], out=wk)
+        (re, im), (cre, cim) = wk @ phase.view(float).reshape(-1, 2)
         # e^{iu(t - t')} ~ 1 + iu(t - t') for the grid's rounding t - t'
         off = (t - anchor) - j * dt
-        if off:
-            out[k] += 1j * off * np.dot(wk * us, phase)
+        out[k] = complex(re - off * cim, im + off * cre)
     return complex(out[0]) if scalar else out
 
 

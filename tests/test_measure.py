@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idlaws import measure
 from idlaws.measure import (
     CanonicalMeasure,
     InfiniteWeight,
@@ -254,6 +257,95 @@ def test_restrict_atom_boundary_inclusion() -> None:
     assert total_mass(restrict(m, lo=0.0, include_lo=True)) == 1.5
 
 
+def restrict_cell_loop(m, lo=-np.inf, hi=np.inf, include_lo=True, include_hi=True):
+    """Reference: restrict as one Python step per atom and per cell."""
+    new_atoms = []
+    for loc, mass in m.atoms:
+        left_ok = loc > lo or (include_lo and loc == lo)
+        right_ok = loc < hi or (include_hi and loc == hi)
+        if left_ok and right_ok:
+            new_atoms.append((loc, mass))
+    pieces = []
+    for a, b, v in zip(m.edges[:-1], m.edges[1:], m.values):
+        na, nb = max(float(a), lo), min(float(b), hi)
+        if nb > na:
+            pieces.append((na, nb, float(v)))
+    if pieces:
+        edges = np.array([pieces[0][0]] + [p[1] for p in pieces])
+        values = np.array([p[2] for p in pieces])
+    else:
+        edges = np.empty(0)
+        values = np.empty(0)
+    return CanonicalMeasure(
+        atoms=tuple(new_atoms), edges=edges, values=values, tail_dropped=m.tail_dropped
+    )
+
+
+def mixed_measure() -> CanonicalMeasure:
+    """Atoms on and off edges, repeated cell widths, zero cells, a tail note."""
+    edges = np.concatenate([[-3.0, -2.9], np.linspace(-2.0, 2.0, 41), [2.5, 4.0]])
+    values = np.abs(np.sin(np.arange(edges.size - 1)))
+    values[[3, 7, 8, 20]] = 0.0
+    atoms = ((-5.0, 0.3), (-2.0, 0.2), (0.05, 0.1), (0.07, 0.4), (0.3, 0.25), (4.0, 0.5))
+    return CanonicalMeasure(atoms=atoms, edges=edges, values=values, tail_dropped=1e-3)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, include_lo, include_hi",
+    [
+        (-2.0, 4.0, True, True),  # both cuts on an edge, atoms on both
+        (-2.0, 4.0, False, False),  # the same cuts, boundary atoms left out
+        (-2.95, 0.123, True, True),  # cuts inside cells
+        (-np.inf, -0.3, True, False),
+        (0.3, np.inf, False, True),
+        (-2.85, -2.1, True, True),  # inside one cell
+        (10.0, 20.0, True, True),  # right of everything: empty
+        (0.07, 0.07, True, True),  # one atom, no width
+    ],
+)
+def test_restrict_matches_cell_loop_reference(lo, hi, include_lo, include_hi) -> None:
+    m = mixed_measure()
+    got = restrict(m, lo, hi, include_lo, include_hi)
+    ref = restrict_cell_loop(m, lo, hi, include_lo, include_hi)
+    assert got.atoms == ref.atoms
+    assert np.array_equal(got.edges, ref.edges)
+    assert np.array_equal(got.values, ref.values)
+    assert got.tail_dropped == ref.tail_dropped
+
+
+def test_nan_bounds_rejected() -> None:
+    m = CanonicalMeasure(atoms=((0.5, 0.5),), edges=[0.0, 1.0], values=[0.5])
+    for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError):
+            restrict(m, lo, hi)
+        with pytest.raises(ValueError):
+            mass_between(m, lo, hi)
+
+
+@st.composite
+def cut_measures(draw):
+    """A random mixed measure and a cut point somewhere around its support."""
+    locs = draw(st.lists(st.floats(-5.0, 5.0), max_size=5, unique=True))
+    edges = sorted(draw(st.lists(st.floats(-4.0, 4.0), max_size=8, unique=True)))
+    if len(edges) < 2:
+        edges = []
+    values = [draw(st.floats(min_value=0.0, max_value=10.0)) for _ in edges[1:]]
+    mass = st.floats(min_value=0.01, max_value=3.0)
+    m = CanonicalMeasure(
+        atoms=tuple((u, draw(mass)) for u in locs), edges=edges, values=values
+    )
+    cut = draw(st.one_of(st.sampled_from(locs + edges or [0.0]), st.floats(-6.0, 6.0)))
+    return m, cut
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cut_measures())
+def test_restrict_halves_combine_to_the_whole(case) -> None:
+    m, c = case
+    whole = combine(restrict(m, hi=c, include_hi=False), restrict(m, lo=c, include_lo=True))
+    assert abs(total_mass(whole) - total_mass(m)) <= 1e-12 * max(1.0, total_mass(m))
+
+
 def test_combine_disjoint() -> None:
     a = CanonicalMeasure.from_density([-2.0, -1.0], [1.0])
     b = CanonicalMeasure(atoms=((3.0, 0.5),), edges=[1.0, 2.0], values=[2.0])
@@ -271,6 +363,48 @@ def test_quantile_uniform() -> None:
     m = unit_density()
     qs = quantile(m, np.array([0.1, 0.5, 0.9]))
     assert np.allclose(qs, [0.1, 0.5, 0.9], atol=1e-12)
+
+
+def quantile_pieces_atom_split(m):
+    """Reference: the cumulative pieces, the cell list re-split once per atom."""
+    events = []
+    for a, b, v in zip(m.edges[:-1], m.edges[1:], m.values):
+        if v > 0:
+            events.append((float(a), float(b), v * (b - a)))
+    for loc, mass in m.atoms:
+        split = []
+        for a, b, cmass in events:
+            if a < loc < b:
+                v = cmass / (b - a)
+                split.append((a, loc, v * (loc - a)))
+                split.append((loc, b, v * (b - loc)))
+            else:
+                split.append((a, b, cmass))
+        events = split
+        events.append((loc, loc, mass))
+    events.sort(key=lambda p: (p[0], p[1]))
+    pl = np.array([e[0] for e in events])
+    pr = np.array([e[1] for e in events])
+    cum = np.cumsum([e[2] for e in events]) if events else np.empty(0)
+    return pl, pr, cum
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        mixed_measure(),  # two atoms inside one cell, atoms on edges and outside
+        CanonicalMeasure(
+            atoms=((0.1, 0.2), (0.2, 0.1), (0.25, 0.3), (0.9, 0.4)),
+            edges=[0.0, 1.0],
+            values=[0.7],
+        ),
+        CanonicalMeasure.from_atoms([(-1.0, 0.5), (2.0, 0.25)]),
+        CanonicalMeasure.from_density([0.0, 1.0, 3.0], [0.0, 2.0]),
+    ],
+)
+def test_quantile_pieces_match_atom_split_reference(m) -> None:
+    for got, ref in zip(measure._quantile_pieces(m), quantile_pieces_atom_split(m)):
+        assert np.array_equal(got, ref)
 
 
 def test_quantile_atom_plateau() -> None:
@@ -292,6 +426,81 @@ def test_fourier_transform_matches_direct() -> None:
     assert np.max(np.abs(fast - direct)) < 1e-12
     # t = 0 gives the total mass
     assert abs(fourier_transform(m, 0.0) - total_mass(m)) < 1e-14
+
+
+def fourier_transform_per_cell_sinc(m, ts):
+    """Reference: the sinc factor recomputed over every cell at every t."""
+    scalar = np.isscalar(ts) or np.ndim(ts) == 0
+    tt = np.atleast_1d(np.asarray(ts, dtype=float))
+    locs, masses = m._atom_arrays()
+    widths = np.diff(m.edges)
+    keep = m.values * widths > 0
+    centers = (0.5 * (m.edges[:-1] + m.edges[1:]))[keep]
+    us = np.concatenate([locs, centers])
+    hw = np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]])
+    ws = np.concatenate([masses, (m.values * widths)[keep]])
+    out = np.empty(tt.shape, dtype=complex)
+    steps = np.diff(tt)
+    uniform = tt.size >= 16 and np.allclose(steps, steps[0], rtol=1e-12)
+    every = measure._PHASE_ANCHOR_EVERY if uniform else 1
+    dt = (tt[-1] - tt[0]) / (tt.size - 1) if uniform else 0.0
+    step = np.exp(1j * dt * us)
+    for k, t in enumerate(tt):
+        j = k % every
+        if j == 0:
+            anchor, phase = t, np.exp(1j * t * us)
+        else:
+            phase = phase * step
+        wk = ws * np.sinc(t * hw / np.pi)
+        out[k] = np.dot(wk, phase)
+        off = (t - anchor) - j * dt
+        if off:
+            out[k] += 1j * off * np.dot(wk * us, phase)
+    return complex(out[0]) if scalar else out
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        np.linspace(-30.0, 30.0, 301),  # uniform: the phase recurrence
+        np.linspace(0.0, 7.0, 16),  # the shortest uniform grid, from t = 0
+        np.array([-9.0, -0.01, 0.0, 0.5, 2.0, 17.3]),  # scattered
+        np.geomspace(1e-3, 50.0, 40),
+        2.5,
+        0.0,
+    ],
+)
+def test_fourier_transform_matches_per_cell_sinc_reference(ts) -> None:
+    m = mixed_measure()
+    got = fourier_transform(m, ts)
+    ref = fourier_transform_per_cell_sinc(m, ts)
+    assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_fourier_transform_sinc_once_per_distinct_width(monkeypatch) -> None:
+    """Work-count guard: sinc sees the distinct widths, not every cell.
+
+    1,000 cells of three exact (dyadic) widths plus two atoms give four
+    distinct half-widths, so 50 t need at most 50 * 4 sinc elements.
+    """
+    widths = np.resize([0.25, 0.5, 1.0], 1000)
+    m = CanonicalMeasure(
+        atoms=((-1.0, 0.5), (3.0, 0.25)),
+        edges=np.concatenate([[0.0], np.cumsum(widths)]),
+        values=np.linspace(0.1, 1.0, 1000),
+    )
+    assert np.unique(np.diff(m.edges)).size == 3
+    seen = []
+    real_sinc = np.sinc
+
+    def counting_sinc(x):
+        seen.append(np.size(x))
+        return real_sinc(x)
+
+    monkeypatch.setattr(np, "sinc", counting_sinc)
+    fourier_transform(m, np.linspace(-5.0, 5.0, 50))
+    assert 0 < sum(seen) <= 50 * 4
 
 
 def test_fourier_transform_uniform_cell_closed_form() -> None:
