@@ -90,82 +90,9 @@ from .simulate import (
     triangular_array_check,
 )
 
-__all__ = [
-    "CanonicalMeasure",
-    "InfiniteWeight",
-    "MissingAtomValue",
-    "cdf",
-    "integrate",
-    "quantile",
-    "restrict",
-    "reweight",
-    "total_mass",
-    "BadParameter",
-    "CompoundPoissonSpec",
-    "InfiniteVariance",
-    "NonFiniteLogCF",
-    "KolmogorovPair",
-    "LevyKhintchinePair",
-    "LevyTriplet",
-    "catalog",
-    "cf_compound_poisson",
-    "kolmogorov_to_lk",
-    "law_from_json_dict",
-    "law_to_json_dict",
-    "law_to_lk",
-    "lk_to_kolmogorov",
-    "lk_to_levy",
-    "levy_to_lk",
-    "log_cf",
-    "log_cf_kolmogorov",
-    "log_cf_levy",
-    "log_cf_lk",
-    "scale_law",
-    "CharacteristicFunctionGrid",
-    "DivisibilityReport",
-    "ProbeOutOfRange",
-    "ZeroCrossing",
-    "build_cf_grid",
-    "build_log_cf_grid",
-    "grid_to_csv",
-    "nth_root",
-    "psd_check",
-    "triangular_row",
-    "verify_infinitely_divisible",
-    "BoundViolated",
-    "GhFamily",
-    "InsufficientSpan",
-    "InversionIntermediates",
-    "NoConvergence",
-    "OutOfRange",
-    "SignViolation",
-    "definetti_sequence",
-    "delta",
-    "delta_profile",
-    "extract_limit",
-    "g_from_k",
-    "g_h_from_root",
-    "gnedenko_tail_check",
-    "i_h",
-    "inversion_report",
-    "invert_cf",
-    "k_from_delta",
-    "tail_bounds",
-    "truncate_cp",
-    "BadTimes",
-    "EmpiricalCF",
-    "PathSample",
-    "ProcessSpec",
-    "ScalingReport",
-    "TriangularArrayReport",
-    "empirical_cf",
-    "empirical_cf_to_csv",
-    "paths_to_csv",
-    "sample_increment",
-    "sample_increments",
-    "sample_path",
-    "scaling_check",
-    "stream_for",
-    "triangular_array_check",
-    "__version__",
+# the names imported above, listed once
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
 ]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .measure import (
     CanonicalMeasure,
+    InfiniteWeight,
     _gauss_nodes,
     atom_mass_at,
     combine,
@@ -162,40 +163,98 @@ class NonFiniteLogCF(ValueError):
 
 # complex elements of one (t x node) block of the kernel (4 MB each)
 _KERNEL_BLOCK = 1 << 18
+# Gauss orders open to the cells inside |u| <= 1, and the error each t may
+# take from them per unit of their mass (below the rounding of the sum)
+_GAUSS_LADDER = (4, 8, 12, 16, 20)
+_INNER_BUDGET = 1e-16
+# Gauss-Legendre remainder constants (n!)^4 / ((2n+1) ((2n)!)^3)
+_GL_REMAINDER = {
+    n: math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+    for n in _GAUSS_LADDER
+}
+
+
+def jump_intensity(G: CanonicalMeasure):
+    """(nu, centring term): nu = (1+u^2)/u^2 dG and the integral of u/(1+u^2)
+    against it, in closed form.
+
+    A cell [a, b] of constant density v becomes density v (1 + 1/(ab)) and
+    adds v ln(b/a), as v log1p((b-a)/a); an atom of mass m at u becomes
+    m (1+u^2)/u^2 and adds that times u/(1+u^2). Raises InfiniteWeight for
+    mass at u = 0, on a cell touching it, or so near it that nu overflows.
+    """
+    locs, masses = G._atom_arrays()
+    if np.any(locs == 0.0):
+        raise InfiniteWeight("nu is unbounded at the atom u=0")
+    atoms = masses * ((1.0 + locs * locs) / (locs * locs))
+    # atoms summed one by one in their order, as integrate sums them
+    center = float(np.cumsum(atoms * (locs / (1.0 + locs * locs)))[-1]) if locs.size else 0.0
+    values = np.zeros_like(G.values)
+    keep = G.values > 0
+    a, b, v = G.edges[:-1][keep], G.edges[1:][keep], G.values[keep]
+    if np.any(a * b <= 0):
+        raise InfiniteWeight("nu is unbounded on a cell touching u=0")
+    with np.errstate(all="ignore"):
+        values[keep] = v * (1.0 + 1.0 / (a * b))
+        center += float(np.sum(v * np.log1p((b - a) / a)))
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(atoms))):
+        raise InfiniteWeight("nu's mass diverges near u=0")
+    nu = CanonicalMeasure(tuple(zip(locs, atoms)), G.edges, values, G.tail_dropped)
+    return nu, center
+
+
+def inner_gauss_order(width: float, t):
+    """Gauss order of the cells inside |u| <= 1 at each t, for a widest cell
+    of the given width: the lowest order of ``_GAUSS_LADDER`` whose remainder
+    bound per unit mass is within ``_INNER_BUDGET``, else the top one (the
+    lowest everywhere if no inner cell carries mass).
+
+    An n-node rule errs on a cell of width w by at most
+    (n!)^4 / ((2n+1) ((2n)!)^3) w^(2n) max|f^(2n)| per unit mass, and the
+    kernel's integrand has |f^(2n)| <= |t|^(2n) (1+|t|)^2 on |u| <= 1.
+    """
+    at = np.abs(np.asarray(t, dtype=float))
+    if not width:
+        return np.full(at.shape, _GAUSS_LADDER[0])
+    order = np.full(at.shape, _GAUSS_LADDER[-1])
+    with np.errstate(all="ignore"):
+        for n in reversed(_GAUSS_LADDER[:-1]):
+            bound = _GL_REMAINDER[n] * (at * width) ** (2 * n) * (1.0 + at) ** 2
+            order = np.where(bound <= _INNER_BUDGET, n, order)
+    return order
 
 
 def _lk_parts(G: CanonicalMeasure):
     """What log_cf_lk needs of G, cached on the (immutable) measure.
 
-    (g0, nodes, weights, nu, nu_mass, nu_center): the u = 0 atom's mass; the
-    other atoms and the Gauss nodes of the cells inside |u| <= 1 (cells are
-    cut at -1 and 1) with their weights; nu = (1+u^2)/u^2 dG on the cells
-    outside (None if they carry no mass), its mass and its integral of
-    u/(1+u^2).
+    (g0, locs, masses, inner, width, nu, nu_mass, nu_center, nodes): the
+    u = 0 atom's mass; the other atoms; G on the cells inside |u| <= 1 (cells
+    are cut at -1 and 1) and the widest of them with mass; nu = (1+u^2)/u^2 dG
+    on the cells outside (None if they carry no mass), its mass and its
+    centring term; and a dict, filled by log_cf_lk, of the kernel's nodes and
+    weights per Gauss order.
     """
     cached = getattr(G, "_lk_cache", None)
     if cached is not None:
         return cached
     locs, masses = G._atom_arrays()
     off = locs != 0.0
-    g0 = float(np.sum(masses[~off]))
-    nodes, weights, nu, nu_mass, nu_center = locs[off], masses[off], None, 0.0, 0.0
+    inner, width, nu, nu_mass, nu_center = None, 0.0, None, 0.0, 0.0
+    # an atom law's kernel nodes are its atoms, at the lowest order it gets
+    by_order = {} if G.values.size else {_GAUSS_LADDER[0]: (locs[off], masses[off])}
     if G.values.size:
         cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1]]
         edges = np.union1d(G.edges, cuts)
         values = G.values[np.searchsorted(G.edges, edges[:-1], side="right") - 1]
         inside = (edges[:-1] >= -1.0) & (edges[1:] <= 1.0)
         inner = CanonicalMeasure.from_density(edges, np.where(inside, values, 0.0))
-        cell_nodes, cell_weights = _gauss_nodes(inner, 20)  # integrate's order
-        nodes = np.concatenate([nodes, cell_nodes])
-        weights = np.concatenate([weights, cell_weights])
+        width = float(np.max(np.diff(edges)[inside & (values > 0)], initial=0.0))
         outer = np.where(inside, 0.0, values)
         if np.any(outer > 0):
-            outer = CanonicalMeasure.from_density(edges, outer)
-            nu = reweight(outer, lambda u: (1.0 + u * u) / (u * u))
+            nu, nu_center = jump_intensity(CanonicalMeasure.from_density(edges, outer))
             nu_mass = total_mass(nu)
-            nu_center = integrate(nu, lambda u: u / (1.0 + u * u)).real
-    parts = (g0, nodes, weights, nu, nu_mass, nu_center)
+    g0 = float(np.sum(masses[~off]))
+    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, by_order)
     object.__setattr__(G, "_lk_cache", parts)
     return parts
 
@@ -207,28 +266,45 @@ def log_cf_lk(law: LevyKhintchinePair, t):
     nodes of the cells inside |u| <= 1 take the integrand
     (exp(itu) - 1 - itu/(1+u^2)) * (1+u^2)/u^2 in the cancellation-free
     arrangement t^2 * r(tu) * (1+u^2) + itu (r the stable remainder kernel),
-    summed in (t x node) blocks. Outside |u| <= 1 the weight is bounded, so
-    the cells there enter through the closed-form Fourier transform of
-    nu = (1+u^2)/u^2 dG, less nu's mass and centring term.
+    summed in (t x node) blocks. The Gauss order of each t is
+    inner_gauss_order(widest inner cell, t), which depends on |t| and G
+    alone, so a t gets the same nodes in a scalar call and in any array.
+    Outside |u| <= 1 the weight is bounded, so the cells there enter through
+    the closed-form Fourier transform of nu = (1+u^2)/u^2 dG, less nu's mass
+    and centring term.
 
     Returns a complex for a scalar t, else an array of t's shape, with
     log phi(0) exactly 0. Raises NonFiniteLogCF if any value overflows.
     """
     tt = np.asarray(t, dtype=float)
     ts = tt.ravel()
-    g0, nodes, weights, nu, nu_mass, nu_center = _lk_parts(law.G)
+    g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order = _lk_parts(law.G)
+    orders = inner_gauss_order(width, ts)
     with np.errstate(all="ignore"):
         out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts
-        if nodes.size:
-            width = min(nodes.size, _KERNEL_BLOCK)
-            rows = max(1, _KERNEL_BLOCK // width)
-            for j in range(0, nodes.size, width):
-                u, w = nodes[j : j + width], weights[j : j + width]
-                for i in range(0, ts.size, rows):
-                    tb = ts[i : i + rows, None]
+        for n in _GAUSS_LADDER:
+            sel = orders == n
+            if not sel.any():
+                continue
+            if n not in by_order:
+                cell_nodes, cell_weights = _gauss_nodes(inner, n)
+                by_order[n] = (
+                    np.concatenate([locs, cell_nodes]), np.concatenate([masses, cell_weights])
+                )
+            nodes, weights = by_order[n]
+            if not nodes.size:
+                continue
+            tn, part = ts[sel], out[sel]
+            cols = min(nodes.size, _KERNEL_BLOCK)
+            rows = max(1, _KERNEL_BLOCK // cols)
+            for j in range(0, nodes.size, cols):
+                u, w = nodes[j : j + cols], weights[j : j + cols]
+                for i in range(0, tn.size, rows):
+                    tb = tn[i : i + rows, None]
                     tu = tb * u
                     f = tb * tb * exp_remainder2(tu) * (1.0 + u * u) + 1j * tu
-                    out[i : i + rows] += (f * w).sum(axis=1)
+                    part[i : i + rows] += (f * w).sum(axis=1)
+            out[sel] = part
         if nu is not None:
             out += fourier_transform(nu, ts) - nu_mass - 1j * ts * nu_center
     out[ts == 0.0] = 0.0
@@ -301,11 +377,11 @@ def kolmogorov_to_lk(law: KolmogorovPair) -> LevyKhintchinePair:
 
 
 def lk_to_levy(law: LevyKhintchinePair) -> LevyTriplet:
-    """Split G into the u=0 atom (variance) and reweighted half-line measures."""
+    """Split G into the u=0 atom (variance) and the jump intensity
+    nu = (1+u^2)/u^2 dG on each half line."""
     sigma2 = atom_mass_at(law.G, 0.0)
-    weight = lambda u: (1.0 + u * u) / (u * u)
-    M = reweight(restrict(law.G, hi=0.0, include_hi=False), weight)
-    N = reweight(restrict(law.G, lo=0.0, include_lo=False), weight)
+    M, _ = jump_intensity(restrict(law.G, hi=0.0, include_hi=False))
+    N, _ = jump_intensity(restrict(law.G, lo=0.0, include_lo=False))
     return LevyTriplet(gamma=law.gamma, sigma2=sigma2, M=M, N=N)
 
 
@@ -356,14 +432,15 @@ def compound_poisson_to_lk(spec: CompoundPoissonSpec) -> LevyKhintchinePair:
 
 
 # Cauchy density grid layout, per side: uniform cells on [0,1]; a geometric
-# band to 2048 sized for the within-cell flattening error; a band of width-48
-# cells out to 2**21 so order-20 quadrature still resolves exp(itu) at t ~ 1;
-# then a coarse geometric tail out to the 1e-10 tail-mass truncation radius.
+# band to 2048 sized for the within-cell flattening error; geometric cells of
+# ratio 1.01 out to about 2**21 and of ratio 1.05 beyond, to the 1e-10
+# tail-mass truncation radius. Cells outside |u| <= 1 enter the log CF
+# through their exact transform, so only the flattening error sizes them.
 _CAUCHY_UNIFORM_CELLS = 1024
 _CAUCHY_GEO_END = 2048.0
 _CAUCHY_GEO_CELLS = 10897
-_CAUCHY_RESOLVED_END = float(2**21)
-_CAUCHY_RESOLVED_WIDTH = 48.0
+_CAUCHY_OUTER_RATIO = 1.01
+_CAUCHY_OUTER_CELLS = 697
 _CAUCHY_TAIL_RATIO = 1.05
 _CAUCHY_TAIL_CELLS = 165
 
@@ -371,9 +448,8 @@ _CAUCHY_TAIL_CELLS = 165
 def _cauchy_measure(c: float) -> CanonicalMeasure:
     e1 = np.linspace(0.0, 1.0, _CAUCHY_UNIFORM_CELLS + 1)
     e2 = np.geomspace(1.0, _CAUCHY_GEO_END, _CAUCHY_GEO_CELLS + 1)
-    n3 = int(round((_CAUCHY_RESOLVED_END - _CAUCHY_GEO_END) / _CAUCHY_RESOLVED_WIDTH))
-    e3 = _CAUCHY_GEO_END + _CAUCHY_RESOLVED_WIDTH * np.arange(n3 + 1)
-    e4 = _CAUCHY_RESOLVED_END * _CAUCHY_TAIL_RATIO ** np.arange(_CAUCHY_TAIL_CELLS + 1)
+    e3 = _CAUCHY_GEO_END * _CAUCHY_OUTER_RATIO ** np.arange(_CAUCHY_OUTER_CELLS + 1)
+    e4 = e3[-1] * _CAUCHY_TAIL_RATIO ** np.arange(_CAUCHY_TAIL_CELLS + 1)
     right = np.concatenate([e1, e2[1:], e3[1:], e4[1:]])
     edges = np.concatenate([-right[::-1], right[1:]])
     # exact cell masses of the density c/pi / (1+u^2)

@@ -10,6 +10,7 @@ failures print {"error": {"code", "message"}} to stdout.
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -40,6 +41,24 @@ from .simulate import (
 )
 
 OUTPUT_DIR_ENV = "IDLAWS_OUTPUT_DIR"
+
+# numeric options that must be finite and positive (counts thus at least 1)
+_POSITIVE_OPTIONS = (
+    "t_max", "t_span", "t_step", "epsilon", "horizon", "cf_t_max",
+    "points", "steps", "paths", "cf_points",
+)
+
+
+class BadOption(ValueError):
+    """A numeric command-line option is out of range."""
+
+
+def _check_options(args) -> None:
+    """Reject out-of-range numeric options before any work or artifact write."""
+    for name in _POSITIVE_OPTIONS:
+        v = getattr(args, name, None)
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise BadOption(f"--{name.replace('_', '-')} must be finite and positive, got {v}")
 
 
 def _parse_catalog(text: str) -> LevyKhintchinePair:
@@ -277,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.run(args)
     except OSError as exc:
         print(

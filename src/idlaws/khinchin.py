@@ -32,6 +32,7 @@ from .canonical import (
     CompoundPoissonSpec,
     LevyKhintchinePair,
     exp_remainder2,
+    jump_intensity,
     log_cf_lk,
 )
 from .divisibility import CharacteristicFunctionGrid, build_cf_grid
@@ -911,10 +912,10 @@ class TruncationResult:
 def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
     """Drop jumps inside |u| <= epsilon and rescale the rest into a jump law.
 
-    The intensity is nu = (1+u^2)/u^2 dG on |u| > epsilon; its mass is the
-    jump rate, its normalization the jump distribution, and the drift picks
-    up the centering correction gamma - integral u/(1+u^2) d nu. Exact for
-    purely atomic G with atoms outside epsilon.
+    The intensity is nu = (1+u^2)/u^2 dG on |u| > epsilon, in closed form
+    (jump_intensity); its mass is the jump rate, its normalization the jump
+    distribution, and the drift picks up the centering correction
+    gamma - integral u/(1+u^2) d nu.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -923,14 +924,9 @@ def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
         restrict(G, hi=-epsilon, include_hi=False),
         restrict(G, lo=epsilon, include_lo=False),
     )
-    nu = reweight(outer, lambda u: (1.0 + u * u) / (u * u))
+    nu, centering = jump_intensity(outer)
     lam = total_mass(nu)
-    if lam > 0:
-        jump_dist = scale(nu, 1.0 / lam)
-        centering = integrate(nu, lambda u: u / (1.0 + u * u)).real
-    else:
-        jump_dist = CanonicalMeasure.empty()
-        centering = 0.0
+    jump_dist = scale(nu, 1.0 / lam) if lam > 0 else CanonicalMeasure.empty()
     return TruncationResult(
         epsilon=float(epsilon),
         lambda_eps=float(lam),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,12 @@ def _as_readonly(a, dtype=float):
     arr = np.asarray(a, dtype=dtype).copy()
     arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=None)
+def _legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return tuple(_as_readonly(a) for a in np.polynomial.legendre.leggauss(order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +205,21 @@ def _lookup_override(overrides, loc):
 
 
 def _eval_on(f, x):
-    """f called once on the array x, broadcast to x's shape."""
-    return np.broadcast_to(np.asarray(f(x), dtype=complex), x.shape)
+    """f called once on the array x, broadcast to x's shape; a real f stays
+    real (float), a complex one complex."""
+    v = np.asarray(f(x))
+    return np.broadcast_to(v if np.iscomplexobj(v) else v.astype(float), x.shape)
+
+
+def _real_weight(w, x):
+    """The weight w on the array x, as floats; raises for a complex value."""
+    with np.errstate(all="ignore"):
+        v = _eval_on(w, x)
+    if np.iscomplexobj(v):
+        if np.any(v.imag != 0):
+            raise ValueError("weight must be real-valued")
+        v = v.real
+    return v
 
 
 def _gauss_nodes(m: CanonicalMeasure, order):
@@ -210,7 +230,7 @@ def _gauss_nodes(m: CanonicalMeasure, order):
     lefts = m.edges[:-1][keep]
     rights = m.edges[1:][keep]
     vals = m.values[keep]
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     centers = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     nodes = centers[:, None] + half[:, None] * x[None, :]
@@ -264,8 +284,8 @@ def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
     ``atom_weights``); each density cell's mass is scaled by the quadrature
     average of w over the cell, so polynomial weights are handled exactly.
     Raises InfiniteWeight when the weight is unbounded on a cell carrying
-    mass (checked at cell edges and midpoint) or non-finite at an atom with
-    no override.
+    mass (checked at cell edges, midpoint and nodes) or non-finite at an atom
+    with no override.
     """
     new_atoms = []
     for loc, mass in m.atoms:
@@ -283,46 +303,26 @@ def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
         if wv < 0:
             raise ValueError(f"weight is negative at atom u={loc}")
         new_atoms.append((loc, mass * wv))
-    new_values = np.array(m.values)
-    if m.values.size:
-        keep = m.values > 0
-        probes = np.stack(
-            [m.edges[:-1], 0.5 * (m.edges[:-1] + m.edges[1:]), m.edges[1:]]
-        )
-        with np.errstate(all="ignore"):
-            wp = _eval_on(w, probes)
-        if np.any(np.abs(wp.imag) > 0):
-            raise ValueError("weight must be real-valued")
-        wp = wp.real
-        if not np.all(np.isfinite(wp[:, keep])):
-            bad = np.where(keep & ~np.all(np.isfinite(wp), axis=0))[0][0]
-            raise InfiniteWeight(
-                f"weight is unbounded on the cell [{m.edges[bad]}, {m.edges[bad + 1]}]"
-            )
-        if np.any(wp[:, keep] < 0):
-            raise ValueError("weight must be non-negative on density cells")
-        # per-cell average of w by order-20 Gauss-Legendre, exact for
-        # polynomial weights and within the quadrature budget otherwise
-        x, gw = np.polynomial.legendre.leggauss(20)
-        lefts, rights = m.edges[:-1][keep], m.edges[1:][keep]
-        centers = 0.5 * (lefts + rights)
-        half = 0.5 * (rights - lefts)
-        nodes = centers[:, None] + half[:, None] * x[None, :]
-        with np.errstate(all="ignore"):
-            wn = _eval_on(w, nodes)
-        if np.any(np.abs(wn.imag) > 0):
-            raise ValueError("weight must be real-valued")
-        wn = wn.real
+    new_values = np.zeros_like(m.values)
+    keep = m.values > 0
+    lefts, rights = m.edges[:-1][keep], m.edges[1:][keep]
+    if lefts.size:
+        # per cell with mass: its edges and midpoint, then its order-20 Gauss nodes
+        nodes, _ = _gauss_nodes(m, 20)
+        points = np.column_stack([lefts, 0.5 * (lefts + rights), rights, nodes.reshape(-1, 20)])
+        wn = _real_weight(w, points)
         if not np.all(np.isfinite(wn)):
             bad = np.where(~np.all(np.isfinite(wn), axis=1))[0][0]
-            raise InfiniteWeight(
-                f"weight is unbounded on the cell [{lefts[bad]}, {rights[bad]}]"
-            )
+            raise InfiniteWeight(f"weight is unbounded on the cell [{lefts[bad]}, {rights[bad]}]")
         if np.any(wn < 0):
             raise ValueError("weight must be non-negative on density cells")
-        cell_avg = wn @ gw / 2.0
-        new_values = np.zeros_like(m.values)
-        new_values[keep] = m.values[keep] * cell_avg
+        # per-cell average of w by order-20 Gauss-Legendre, exact for polynomial
+        # weights; summed node by node, one fixed order whatever the array layout
+        _, gw = _legendre(20)
+        cell_avg = np.zeros(lefts.size)
+        for k in range(gw.size):
+            cell_avg += wn[:, 3 + k] * gw[k]
+        new_values[keep] = m.values[keep] * (cell_avg / 2.0)
         if not np.all(np.isfinite(new_values)):
             raise InfiniteWeight("reweighted density mass diverges")
     return CanonicalMeasure(

@@ -58,8 +58,8 @@ class ProcessSpec:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be finite and positive")
 
     @cached_property
     def decomposition(self) -> TruncationResult:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idlaws.canonical import (
     BadParameter,
@@ -16,6 +18,8 @@ from idlaws.canonical import (
     cf_compound_poisson,
     compound_poisson_to_lk,
     exp_remainder2,
+    inner_gauss_order,
+    jump_intensity,
     kolmogorov_to_lk,
     law_from_json_dict,
     law_to_json_dict,
@@ -32,7 +36,16 @@ from idlaws.canonical import (
     tail_function_m,
     tail_function_n,
 )
-from idlaws.measure import CanonicalMeasure, InfiniteWeight, total_mass
+from idlaws import canonical
+from idlaws.measure import (
+    CanonicalMeasure,
+    InfiniteWeight,
+    combine,
+    integrate,
+    restrict,
+    reweight,
+    total_mass,
+)
 
 T_GRID = np.linspace(-10.0, 10.0, 201)
 T_DENSE = np.linspace(-4.0, 4.0, 1001)
@@ -378,6 +391,151 @@ def test_catalog_cauchy_mass_and_truncation() -> None:
     assert abs(total_mass(law.G) - 1.0) < 1e-9
     assert 0 < law.G.tail_dropped < 1e-10 * 1.01
     assert law.gamma == 0.0
+
+
+def test_catalog_cauchy_grid_size_and_mass() -> None:
+    G = catalog("cauchy", 1.0).G
+    assert G.values.size <= 26_000
+    assert abs(total_mass(G) + G.tail_dropped - 1.0) < 1e-9
+
+
+# -- nu in closed form ---------------------------------------------------------
+
+
+def assert_nu_matches_quadrature(G) -> None:
+    """jump_intensity against reweight for nu and integrate for the centring
+    term, the integral of u/(1+u^2) against nu, that is of 1/u against G."""
+    nu, center = jump_intensity(G)
+    ref = reweight(G, lambda u: (1.0 + u * u) / (u * u))
+    keep = ref.values > 0
+    assert np.array_equal(nu.values > 0, keep)
+    assert np.max(np.abs(nu.values[keep] / ref.values[keep] - 1.0), initial=0.0) <= 1e-13
+    assert [a for a, _ in nu.atoms] == [a for a, _ in ref.atoms]
+    assert np.allclose([m for _, m in nu.atoms], [m for _, m in ref.atoms], rtol=1e-13, atol=0)
+    assert abs(total_mass(nu) - total_mass(ref)) <= 1e-13 * total_mass(ref)
+    # the centring term can cancel to 0; measure it against its absolute size
+    size = integrate(G, lambda u: 1.0 / np.abs(u)).real
+    assert abs(center - integrate(G, lambda u: 1.0 / u).real) <= 1e-13 * size
+
+
+def test_jump_intensity_on_cauchy_outer_cells() -> None:
+    G = catalog("cauchy", 1.0).G
+    outer = combine(restrict(G, hi=-1.0), restrict(G, lo=1.0))
+    assert_nu_matches_quadrature(outer)
+    assert_nu_matches_quadrature(restrict(G, lo=1.0))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
+def test_jump_intensity_on_cauchy_epsilon_cuts(eps) -> None:
+    G = catalog("cauchy", 1.0).G
+    right = restrict(G, lo=eps, include_lo=False)
+    assert_nu_matches_quadrature(combine(restrict(G, hi=-eps, include_hi=False), right))
+    assert_nu_matches_quadrature(right)
+
+
+@st.composite
+def jump_measures(draw):
+    """Atoms off 0 and cells on each side of it with b/a <= 4, where order-20
+    quadrature of 1/u and 1/u^2 is exact to rounding; the cell across 0 is
+    empty."""
+    masses = st.floats(min_value=0.0, max_value=1.0)
+    locs = st.floats(min_value=-6.0, max_value=6.0).filter(lambda u: abs(u) >= 1e-3)
+    atoms = [(u, draw(masses)) for u in draw(st.lists(locs, max_size=4, unique=True))]
+
+    def side():
+        start = draw(st.floats(min_value=0.01, max_value=5.0))
+        ratios = draw(st.lists(st.floats(min_value=1.001, max_value=4.0), min_size=1, max_size=5))
+        return start * np.cumprod([1.0] + ratios)
+
+    left, right = -side()[::-1], side()
+    values = [draw(masses) for _ in left[1:]] + [0.0] + [draw(masses) for _ in right[1:]]
+    return CanonicalMeasure(atoms=tuple(atoms), edges=np.concatenate([left, right]), values=values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(jump_measures())
+def test_jump_intensity_on_random_mixed_measures(G) -> None:
+    assert_nu_matches_quadrature(G)
+
+
+def test_jump_intensity_closed_form_cell() -> None:
+    # density 2 on [1, 2]: nu density 2 (1 + 1/2) = 3, centring 2 ln 2
+    nu, center = jump_intensity(CanonicalMeasure.from_density([1.0, 2.0], [2.0]))
+    assert nu.values[0] == 3.0
+    assert center == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    # the mirrored cell mirrors the centring term
+    _, left = jump_intensity(CanonicalMeasure.from_density([-2.0, -1.0], [2.0]))
+    assert left == -center
+
+
+def test_jump_intensity_rejects_mass_at_zero() -> None:
+    with pytest.raises(InfiniteWeight):
+        jump_intensity(CanonicalMeasure.from_atoms([(0.0, 1.0)]))
+    with pytest.raises(InfiniteWeight):
+        jump_intensity(CanonicalMeasure.from_density([-0.5, 0.5], [1.0]))
+    with pytest.raises(InfiniteWeight):
+        jump_intensity(CanonicalMeasure.from_density([0.0, 0.5], [1.0]))
+    # an empty cell across 0 carries no mass and is fine
+    nu, center = jump_intensity(CanonicalMeasure.from_density([-1.0, 1.0, 2.0], [0.0, 1.0]))
+    assert nu.values[0] == 0.0 and center == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+# -- the kernel's inner Gauss order ------------------------------------------------
+
+
+def test_inner_order_matches_order_20_on_cauchy(monkeypatch) -> None:
+    law = catalog("cauchy", 1.0)
+    ts = np.concatenate([np.linspace(-81.0, 81.0, 163), [1e-3, 0.3, 7.77, 33.3, -80.9]])
+    got = log_cf_lk(law, ts)
+    monkeypatch.setattr(canonical, "_GAUSS_LADDER", (20,))
+    full = log_cf_lk(law, ts)
+    assert np.max(np.abs(got - full)) <= 1e-13
+
+
+def test_inner_order_depends_on_t_and_width() -> None:
+    assert inner_gauss_order(1.0 / 1024, 0.0) == 4
+    assert inner_gauss_order(1.0 / 1024, 10.0) == 4
+    assert inner_gauss_order(2.0, 81.0) == 20
+    orders = inner_gauss_order(1.0 / 1024, np.linspace(0.0, 1e4, 101))
+    assert np.all(np.diff(orders) >= 0) and orders[-1] == 20
+    assert np.array_equal(inner_gauss_order(0.1, [-3.0, 3.0]), inner_gauss_order(0.1, [3.0, 3.0]))
+
+
+def test_wide_inner_cell_keeps_order_20_bit_for_bit() -> None:
+    # one cell [-1, 1]: |t| w = 162 at t = 81, beyond every lower order
+    G = CanonicalMeasure.from_density([-1.0, 1.0], [0.7])
+    law = LevyKhintchinePair(gamma=0.25, G=G)
+    ts = np.array([-81.0, -3.5, 0.2, 40.0, 81.0])
+    # the order-20 kernel: 20 Gauss nodes on the cell, one block
+    x, gw = np.polynomial.legendre.leggauss(20)
+    u, w = 0.0 + 1.0 * x, (1.0 * 0.7) * gw
+    want = 1j * 0.25 * ts - 0.5 * 0.0 * ts * ts
+    tb = ts[:, None]
+    f = tb * tb * exp_remainder2(tb * u) * (1.0 + u * u) + 1j * tb * u
+    want += (f * w).sum(axis=1)
+    assert np.all(inner_gauss_order(2.0, ts[[0, -1]]) == 20)
+    got = log_cf_lk(law, ts)
+    for k in (0, -1):
+        assert got[k] == want[k]
+        assert log_cf_lk(law, float(ts[k])) == want[k]
+
+
+def test_cauchy_kernel_inner_node_count(monkeypatch) -> None:
+    # |t| <= 10 needs order 4 on the 2,048 cells of width 1/1024 in |u| <= 1
+    seen = []
+
+    def counted(x):
+        seen.append(np.size(x))
+        return exp_remainder2(x)
+
+    monkeypatch.setattr(canonical, "exp_remainder2", counted)
+    law = catalog("cauchy", 1.0)
+    ts = np.linspace(-10.0, 10.0, 201)
+    log_cf_lk(law, ts)
+    assert sum(seen) <= ts.size * 2048 * 4
+    seen.clear()
+    log_cf_lk(law, 10.0)
+    assert sum(seen) <= 2048 * 4
 
 
 def test_catalog_bad_parameters() -> None:

@@ -271,6 +271,28 @@ def test_overflowing_law_file_is_domain_error(tmp_path, capsys) -> None:
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--t-step", ["invert", "--catalog", "poisson:1,1", "--t-step", "0"]),
+        ("--t-max", ["approx-cp", "--catalog", "cauchy:1", "--epsilons", "0.5", "--t-max", "inf"]),
+        ("--horizon", ["simulate", "--catalog", "cauchy:1", "--horizon", "inf"]),
+        ("--paths", ["simulate", "--catalog", "poisson:1,1", "--paths", "0", "--cf-out", "CF"]),
+        ("--t-max", ["eval", "--catalog", "gaussian:0,1", "--t-max", "nan"]),
+        ("--steps", ["simulate", "--catalog", "poisson:1,1", "--steps", "-1"]),
+    ],
+)
+def test_bad_numeric_option_fails_before_any_write(flag, argv, tmp_path, capsys) -> None:
+    out, cf_out = tmp_path / "out", tmp_path / "cf.csv"
+    argv = [str(cf_out) if a == "CF" else a for a in argv] + ["--out", str(out)]
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 2
+    error = json.loads(stdout)["error"]
+    assert error["code"] == "BadOption" and flag in error["message"]
+    assert stderr == ""
+    assert not out.exists() and not cf_out.exists()
+
+
 def test_missing_law_file_is_io_error(capsys) -> None:
     code, _, stderr = run(["eval", "--law", "/nonexistent/law.json"], capsys)
     assert code == 1

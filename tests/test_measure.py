@@ -195,6 +195,51 @@ def test_reweight_rejects_negative_weight() -> None:
         reweight(m, lambda u: u - 0.5)
 
 
+def complex_cast_cell_values(m, w):
+    """reweight's cell values as they were computed with every weight cast to
+    complex: the real part of the complex array, averaged by one matmul."""
+    x, gw = np.polynomial.legendre.leggauss(20)
+    keep = m.values > 0
+    lefts, rights = m.edges[:-1][keep], m.edges[1:][keep]
+    centers, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    nodes = centers[:, None] + half[:, None] * x[None, :]
+    wn = np.asarray(w(nodes), dtype=complex).real
+    values = np.zeros_like(m.values)
+    values[keep] = m.values[keep] * (wn @ gw / 2.0)
+    return values
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        lambda u: (1.0 + u * u) / (u * u),
+        lambda u: 1.0 / (1.0 + u * u),
+        lambda u: np.exp(-u * u) + u * u,
+    ],
+)
+def test_reweight_real_weights_bit_identical_to_complex_cast(w) -> None:
+    edges = np.concatenate([np.geomspace(0.01, 3.0, 2001), np.geomspace(4.0, 9e5, 3001)])
+    values = np.where(np.arange(edges.size - 1) % 7 == 3, 0.0, 1.0 / (1.0 + edges[1:] ** 2))
+    m = CanonicalMeasure(atoms=((-2.0, 0.5), (12.0, 0.25)), edges=edges, values=values)
+    assert np.array_equal(reweight(m, w).values, complex_cast_cell_values(m, w))
+
+
+def test_eval_on_keeps_real_integrands_real() -> None:
+    x = np.linspace(0.5, 2.0, 8)
+    assert measure._eval_on(lambda u: u * u, x).dtype == np.float64
+    assert measure._eval_on(lambda u: 3, x).dtype == np.float64
+    assert measure._eval_on(lambda u: np.exp(1j * u), x).dtype == np.complex128
+
+
+def test_reweight_rejects_complex_weight() -> None:
+    m = CanonicalMeasure.from_density([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="real-valued"):
+        reweight(m, lambda u: u + 1j * u)
+    # a complex type with zero imaginary part is a real weight
+    same = reweight(m, lambda u: (u * u) + 0j)
+    assert np.array_equal(same.values, reweight(m, lambda u: u * u).values)
+
+
 # -- construction validation ----------------------------------------------------
 
 

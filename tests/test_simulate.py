@@ -59,6 +59,9 @@ def test_process_spec_validation() -> None:
         ProcessSpec(law=law, epsilon=0.0, horizon=1.0, seed=0)
     with pytest.raises(ValueError):
         ProcessSpec(law=law, epsilon=0.1, horizon=0.0, seed=0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            ProcessSpec(law=law, epsilon=0.1, horizon=horizon, seed=0)
 
 
 def test_path_sample_length_mismatch() -> None:
