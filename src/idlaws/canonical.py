@@ -243,8 +243,8 @@ def _lk_parts(G: CanonicalMeasure):
     # an atom law's kernel nodes are its atoms, at the lowest order it gets
     by_order = {} if G.values.size else {_GAUSS_LADDER[0]: (locs[off], masses[off])}
     if G.values.size:
-        cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1]]
-        edges = np.union1d(G.edges, cuts)
+        cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1] and c not in G.edges]
+        edges = np.sort(np.concatenate([G.edges, cuts]))
         values = G.values[np.searchsorted(G.edges, edges[:-1], side="right") - 1]
         inside = (edges[:-1] >= -1.0) & (edges[1:] <= 1.0)
         inner = CanonicalMeasure.from_density(edges, np.where(inside, values, 0.0))

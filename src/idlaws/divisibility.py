@@ -220,8 +220,9 @@ def psd_check(
     probes = np.asarray(probe_points, dtype=float)
     if probes.ndim != 1 or probes.size < 1:
         raise ValueError("probe_points must be a non-empty 1-d collection")
-    if np.unique(probes).size != probes.size:
-        raise ValueError("probe_points must be pairwise distinct")
+    ordered = np.sort(probes)
+    if not (np.all(np.isfinite(ordered)) and np.all(ordered[1:] > ordered[:-1])):
+        raise ValueError("probe_points must be finite and pairwise distinct")
     diffs = probes[:, None] - probes[None, :]
     if np.max(np.abs(diffs)) > cf.t_max + 1e-12:
         raise ProbeOutOfRange(

@@ -328,18 +328,8 @@ def _richardson(h_a: float, c_a, h_b: float, c_b):
 
 def _bool_runs(mask: np.ndarray):
     """Maximal runs of True, as (first, last) inclusive index pairs."""
-    runs = []
-    i = 0
-    while i < mask.size:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < mask.size and mask[j + 1]:
-            j += 1
-        runs.append((i, j))
-        i = j + 1
-    return runs
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    return [(int(a), int(b) - 1) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _mass_centroid(g: CanonicalMeasure, lo: float, hi: float) -> Optional[float]:

@@ -27,6 +27,12 @@ class BadTimes(ValueError):
 _INTERVALS_PER_PATH = 1 << 20
 
 
+def _counter_words(path_index: int, interval_index: int) -> tuple:
+    """Philox counter words, low first, of Philox(key).jumped(offset): offset * 2^128."""
+    offset = (path_index * _INTERVALS_PER_PATH + interval_index) % (1 << 128)
+    return (0, 0, offset & ((1 << 64) - 1), offset >> 64)
+
+
 def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
     """The RNG stream owned by (seed, path, interval).
 
@@ -39,10 +45,8 @@ def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
         raise ValueError("interval_index must lie in [0, 2^20)")
     if path_index < 0:
         raise ValueError("path_index must be non-negative")
-    # Philox(key).jumped(offset) is the counter offset * 2^128 (mod 2^256),
-    # set here directly; uint64 keeps words >= 2^63 from casting through float
-    offset = (path_index * _INTERVALS_PER_PATH + interval_index) % (1 << 128)
-    counter = np.array([0, 0, offset & ((1 << 64) - 1), offset >> 64], dtype=np.uint64)
+    # uint64 keeps words >= 2^63 from casting through float
+    counter = np.array(_counter_words(path_index, interval_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
@@ -121,18 +125,49 @@ def sample_increment(spec: ProcessSpec, duration: float, stream) -> float:
 
 
 def sample_path(spec: ProcessSpec, times, path_index: int = 0) -> PathSample:
-    """X sampled at the given times, one independent stream per interval."""
+    """X sampled at the given times, one independent stream per interval.
+
+    One bit generator, its counter reset per interval with the buffer emptied,
+    draws what stream_for's streams would, in sample_increments' order; one
+    quantile call maps all jump uniforms, summed per interval in draw order.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise BadTimes("times must start at 0")
-    if times.size > 1 and np.min(np.diff(times)) <= 0:
+    if times.size - 1 > _INTERVALS_PER_PATH:
+        raise ValueError(f"at most 2^20 intervals per path, got {times.size - 1}")
+    if path_index < 0:
+        raise ValueError("path_index must be non-negative")
+    gaps = np.diff(times)
+    if gaps.size and np.min(gaps) <= 0:
         raise BadTimes("times must be strictly increasing")
     if times[-1] > spec.horizon:
         raise BadTimes(f"times end at {times[-1]}, beyond horizon {spec.horizon}")
-    values = np.zeros(times.size)
-    for k, gap in enumerate(np.diff(times)):
-        stream = stream_for(spec.seed, path_index, k)
-        values[k + 1] = values[k] + sample_increment(spec, float(gap), stream)
+    dec = spec.decomposition
+    bits = np.random.Philox(key=spec.seed)
+    stream, state = np.random.Generator(bits), bits.state
+    state["buffer_pos"], state["has_uint32"] = 4, 0
+    inc = dec.drift * gaps
+    sds = np.sqrt(dec.gaussian_mass * gaps).tolist() if dec.gaussian_mass > 0 else None
+    jumpy, uniforms = [], []
+    for k, lam in enumerate((dec.lambda_eps * gaps).tolist()):
+        state["state"]["counter"] = _counter_words(path_index, k)
+        bits.state = state
+        if sds is not None:
+            inc[k] += stream.normal(0.0, sds[k])
+        n = int(stream.poisson(lam)) if lam > 0 else 0
+        if n:
+            jumpy.append(k)
+            uniforms.append(stream.random(n))
+    if uniforms:
+        jumps = quantile(dec.jump_distribution, np.concatenate(uniforms))
+        counts = np.array([u.size for u in uniforms])
+        first = np.cumsum(counts) - counts
+        total = jumps[first]
+        for r in range(1, counts.max()):
+            total[counts > r] += jumps[first[counts > r] + r]
+        inc[jumpy] += total
+    values = np.cumsum(np.concatenate([[0.0], inc]))
     return PathSample(times=times, values=values)
 
 

@@ -458,6 +458,40 @@ def test_jump_intensity_on_random_mixed_measures(G) -> None:
     assert_nu_matches_quadrature(G)
 
 
+def _lk_edges_union1d(G):
+    """The inner grid's edges as np.union1d built them, kept as the reference."""
+    cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1]]
+    return np.union1d(G.edges, cuts)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [-3.0, -1.0, 0.25, 1.0, 2.0],  # both cuts already edges
+        [-3.0, -0.5, 0.5, 2.0],  # neither cut an edge
+        [-1.0, 0.0, 1.5],  # -1 is the first edge, 1 is inside a cell
+        [-0.5, 0.0, 0.5],  # both cuts outside the grid
+        [-2.0, -0.0, 1.0],
+    ],
+)
+def test_lk_parts_edges_match_union1d(edges) -> None:
+    G = CanonicalMeasure.from_density(edges, np.ones(len(edges) - 1))
+    inner = canonical._lk_parts(G)[3]
+    assert np.array_equal(inner.edges, _lk_edges_union1d(G))
+    assert np.array_equal(np.signbit(inner.edges), np.signbit(_lk_edges_union1d(G)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(jump_measures())
+def test_lk_parts_edges_match_union1d_on_random_measures(G) -> None:
+    assert np.array_equal(canonical._lk_parts(G)[3].edges, _lk_edges_union1d(G))
+
+
+def test_lk_parts_edges_match_union1d_on_cauchy() -> None:
+    G = catalog("cauchy", 1.0).G
+    assert np.array_equal(canonical._lk_parts(G)[3].edges, _lk_edges_union1d(G))
+
+
 def test_jump_intensity_closed_form_cell() -> None:
     # density 2 on [1, 2]: nu density 2 (1 + 1/2) = 3, centring 2 ln 2
     nu, center = jump_intensity(CanonicalMeasure.from_density([1.0, 2.0], [2.0]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,20 @@ def test_bad_numeric_option_fails_before_any_write(flag, argv, tmp_path, capsys)
     assert not out.exists() and not cf_out.exists()
 
 
+def test_simulate_too_many_steps_fails_before_drawing(tmp_path, capsys) -> None:
+    # one path owns 2^20 interval streams; 2^20 + 1 steps is refused up front
+    out, cf_out = tmp_path / "paths.csv", tmp_path / "cf.csv"
+    argv = ["simulate", "--catalog", "poisson:1,1", "--horizon", "1", "--steps", "1048577",
+            "--out", str(out), "--cf-out", str(cf_out)]
+    start = time.perf_counter()
+    code, stdout, stderr = run(argv, capsys)
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    assert "2^20" in json.loads(stdout)["error"]["message"]
+    assert stderr == ""
+    assert not out.exists() and not cf_out.exists()
+
+
 def test_missing_law_file_is_io_error(capsys) -> None:
     code, _, stderr = run(["eval", "--law", "/nonexistent/law.json"], capsys)
     assert code == 1
@@ -315,13 +330,8 @@ def test_output_dir_env_default(tmp_path, capsys, monkeypatch) -> None:
     assert (tmp_path / "eval.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy() -> None:
-    # scipy is a test oracle only; importing it would cost every CLI start ~1 s
-    code = (
-        "import idlaws.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    # the child imports the same idlaws as this test run
+def _child_stdout(code: str) -> str:
+    """Stdout of a child Python running code on the same idlaws as this test run."""
     src = str(Path(idlaws.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -332,4 +342,29 @@ def test_cli_import_leaves_out_scipy() -> None:
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy() -> None:
+    # scipy is a test oracle only; importing it would cost every CLI start ~1 s
+    code = (
+        "import idlaws.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _child_stdout(code) == "[]"
+
+
+def test_cli_runs_leave_out_numpy_ma(tmp_path) -> None:
+    # np.unique, np.union1d and np.median import numpy.ma, about 15 ms a process
+    argvs = [
+        ["verify-id", "--catalog", "gaussian:0,1"],
+        ["eval", "--catalog", "cauchy:1", "--points", "21"],
+        ["approx-cp", "--catalog", "cauchy:1", "--epsilons", "0.5", "--points", "21"],
+    ]
+    out = str(tmp_path / "out")
+    code = (
+        "import sys; from idlaws.cli import main; "
+        f"codes = [main(argv + ['--out', {out!r}]) for argv in {argvs!r}]; "
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    assert _child_stdout(code).split("\n")[-1] == "[0, 0, 0] False"

@@ -210,6 +210,17 @@ def test_psd_duplicate_probes_rejected() -> None:
     g = build_cf_grid(gaussian_cf, 2.0, 41)
     with pytest.raises(ValueError):
         psd_check(g, [0.0, 0.0, 1.0], 1e-8)
+    with pytest.raises(ValueError, match="distinct"):
+        psd_check(g, [1.0, -0.5, 0.0, -0.0], 1e-8)
+
+
+@pytest.mark.parametrize(
+    "probes", [[np.nan, 1.0], [np.nan, np.nan], [0.0, np.nan, 1.0], [np.inf, 1.0]]
+)
+def test_psd_non_finite_probes_rejected(probes) -> None:
+    g = build_cf_grid(gaussian_cf, 2.0, 41)
+    with pytest.raises(ValueError, match="finite"):
+        psd_check(g, probes, 1e-8)
 
 
 # -- verify_infinitely_divisible ----------------------------------------------------

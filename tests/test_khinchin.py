@@ -22,6 +22,7 @@ from idlaws.khinchin import (
     NoConvergence,
     OutOfRange,
     SignViolation,
+    _bool_runs,
     _simpson_weights,
     _taper_window,
     definetti_sequence,
@@ -530,6 +531,35 @@ def test_k_poisson_jump_midpoint(poisson_inversion) -> None:
     k_at_1 = float(np.interp(1.0, inv.u_grid, inv.k_values))
     step = -2.0 * delta_kernel_weight(1.0) * 0.5
     assert abs(k_at_1 - step / 2.0) < 1e-3
+
+
+def _bool_runs_loop(mask):
+    """The former while-loop _bool_runs, kept as the reference."""
+    runs = []
+    i = 0
+    while i < mask.size:
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < mask.size and mask[j + 1]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
+
+
+def test_bool_runs_matches_loop() -> None:
+    rng = np.random.default_rng(17)
+    masks = [np.zeros(0, dtype=bool), np.ones(9, dtype=bool), np.zeros(9, dtype=bool)]
+    masks += [np.array([True]), np.array([False])]
+    masks += [rng.random(rng.integers(1, 60)) < p for p in (0.1, 0.5, 0.9) for _ in range(30)]
+    for mask in masks:
+        got = _bool_runs(mask)
+        assert got == _bool_runs_loop(mask)
+        assert all(type(i) is int for run in got for i in run)
+    assert _bool_runs(np.ones(9, dtype=bool)) == [(0, 8)]
+    assert _bool_runs(np.zeros(0, dtype=bool)) == []
 
 
 # -- G from K ---------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from idlaws import simulate
 from idlaws.canonical import LevyKhintchinePair, catalog
 from idlaws.measure import CanonicalMeasure
 from idlaws.simulate import (
@@ -32,15 +33,18 @@ def poisson_spec():
     return ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=2.0, seed=7)
 
 
-# shared 10^4-path sample of a drift + Gaussian + two-sided-jump law, used by
-# the stationarity and independence checks
+# drift + Gaussian + two-sided jumps
+MIXED_LAW = LevyKhintchinePair(
+    gamma=0.2,
+    G=CanonicalMeasure.from_atoms([(0.0, 0.3), (-1.0, 0.2), (1.0, 0.2)]),
+)
+
+
+# shared 10^4-path sample of the mixed law, used by the stationarity and
+# independence checks
 @pytest.fixture(scope="module")
 def mixed_increments():
-    law = LevyKhintchinePair(
-        gamma=0.2,
-        G=CanonicalMeasure.from_atoms([(0.0, 0.3), (-1.0, 0.2), (1.0, 0.2)]),
-    )
-    spec = ProcessSpec(law=law, epsilon=0.01, horizon=4.0, seed=10)
+    spec = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=4.0, seed=10)
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5])
     n_paths = 10_000
     vals = np.empty((n_paths, times.size))
@@ -175,6 +179,83 @@ def test_split_interval_matches_single(poisson_spec) -> None:
     halves = halves + sample_increments(poisson_spec, 0.5, n, stream_for(7, 1, 1))
     stat = ks_2samp(direct, halves).statistic
     assert stat < KS_CRITICAL_1PCT * math.sqrt(2.0 / n)
+
+
+def reference_path(spec, times, path_index=0):
+    """The former sampler: a fresh stream_for stream and one sample_increment
+    per interval, kept as the reference for sample_path's single generator."""
+    times = np.asarray(times, dtype=float)
+    values = np.zeros(times.size)
+    for k, gap in enumerate(np.diff(times)):
+        stream = stream_for(spec.seed, path_index, k)
+        values[k + 1] = values[k] + sample_increment(spec, float(gap), stream)
+    return PathSample(times=times, values=values)
+
+
+_UNEVEN = np.cumsum(np.r_[0.0, np.random.default_rng(3).exponential(0.05, 50)])
+# paths whose offsets lie just below, at and just past the 2^128 counter wrap,
+# and two path indices past 2^63
+_FAR = [(1 << 108) - 1, 1 << 108, (1 << 108) + 5, (1 << 63) + 3, 12345678901234567890]
+
+SAMPLER_CASES = {
+    "poisson": (catalog("poisson", 1.0, 1.0), 0.5, np.linspace(0.0, 10.0, 201), range(10)),
+    "cauchy": (catalog("cauchy", 1.0), 0.02, np.linspace(0.0, 1.0, 11), range(6)),
+    "mixed": (MIXED_LAW, 0.01, np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5]), range(50)),
+    "poisson-25-per-interval": (
+        catalog("poisson", 50.0, 1.0), 0.5, np.linspace(0.0, 2.0, 5), range(10)
+    ),
+    "uneven-times": (MIXED_LAW, 0.01, _UNEVEN, range(10)),
+    "far-paths": (catalog("poisson", 2.0, 3.0), 0.5, np.linspace(0.0, 3.0, 31), _FAR),
+    "one-time": (MIXED_LAW, 0.01, np.array([0.0]), range(2)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_sample_path_matches_per_interval_streams(case, seed) -> None:
+    law, eps, times, paths = SAMPLER_CASES[case]
+    spec = ProcessSpec(law=law, epsilon=eps, horizon=float(times[-1]) or 1.0, seed=seed)
+    got = [sample_path(spec, times, path_index=p) for p in paths]
+    want = [reference_path(spec, times, path_index=p) for p in paths]
+    assert paths_to_csv(got) == paths_to_csv(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+
+
+def test_sample_path_uses_one_generator_and_one_quantile(monkeypatch) -> None:
+    calls = {"philox": 0, "quantile": 0}
+    philox, quantile = np.random.Philox, simulate.quantile
+
+    def counted_philox(*args, **kwargs):
+        calls["philox"] += 1
+        return philox(*args, **kwargs)
+
+    def counted_quantile(*args, **kwargs):
+        calls["quantile"] += 1
+        return quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    monkeypatch.setattr(simulate, "quantile", counted_quantile)
+    spec = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=10.0, seed=4)
+    path = sample_path(spec, np.linspace(0.0, 10.0, 101))
+    assert calls == {"philox": 1, "quantile": 1}
+    assert path.values[-1] > 0  # jumps were drawn
+    calls.update(philox=0, quantile=0)
+    gaussian = ProcessSpec(law=catalog("gaussian", 0.0, 1.0), epsilon=0.1, horizon=1.0, seed=4)
+    sample_path(gaussian, [0.0, 0.5, 1.0])
+    assert calls == {"philox": 1, "quantile": 0}
+
+
+def test_sample_path_rejects_bad_layout_before_drawing(monkeypatch) -> None:
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    spec = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=2.0, seed=0)
+    with pytest.raises(ValueError, match="2\\^20 intervals"):
+        sample_path(spec, np.linspace(0.0, 2.0, (1 << 20) + 2))
+    with pytest.raises(ValueError, match="path_index"):
+        sample_path(spec, np.linspace(0.0, 2.0, 3), path_index=-1)
 
 
 # -- empirical CF -------------------------------------------------------------------
