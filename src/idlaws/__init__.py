@@ -47,6 +47,7 @@ from .divisibility import (
     grid_to_csv,
     nth_root,
     psd_check,
+    symmetric_grid,
     triangular_row,
     verify_infinitely_divisible,
 )

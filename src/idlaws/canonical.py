@@ -23,6 +23,7 @@ from .measure import (
     combine,
     fourier_transform,
     from_json_dict,
+    hermitian_fold,
     integrate,
     mass_between,
     restrict,
@@ -273,11 +274,19 @@ def log_cf_lk(law: LevyKhintchinePair, t):
     the closed-form Fourier transform of nu = (1+u^2)/u^2 dG, less nu's mass
     and centring term.
 
+    The log CF is Hermitian, so on a t that mirrors exactly about 0 only the
+    t >= 0 half is evaluated (measure.hermitian_fold).
+
     Returns a complex for a scalar t, else an array of t's shape, with
     log phi(0) exactly 0. Raises NonFiniteLogCF if any value overflows.
     """
     tt = np.asarray(t, dtype=float)
-    ts = tt.ravel()
+    out = hermitian_fold(lambda ts: _log_cf_lk_flat(law, ts), tt.ravel())
+    return complex(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
+
+
+def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
+    """log_cf_lk on a 1-d t array, every t evaluated."""
     g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order = _lk_parts(law.G)
     orders = inner_gauss_order(width, ts)
     with np.errstate(all="ignore"):
@@ -311,7 +320,7 @@ def log_cf_lk(law: LevyKhintchinePair, t):
     if not np.all(np.isfinite(out)):
         bad = float(ts[np.argmin(np.isfinite(out))])
         raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
-    return complex(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
+    return out
 
 
 def log_cf_kolmogorov(law: KolmogorovPair, t):

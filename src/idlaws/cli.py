@@ -29,7 +29,12 @@ from .canonical import (
     lk_to_levy,
     log_cf_lk,
 )
-from .divisibility import build_log_cf_grid, grid_to_csv, verify_infinitely_divisible
+from .divisibility import (
+    build_log_cf_grid,
+    grid_to_csv,
+    symmetric_grid,
+    verify_infinitely_divisible,
+)
 from .khinchin import definetti_sequence, inversion_report, invert_cf
 from .measure import CanonicalMeasure
 from .simulate import (
@@ -188,7 +193,7 @@ def _run_verify_id(args) -> int:
 def _run_approx_cp(args) -> int:
     law = _resolve_law(args)
     epsilons = [float(e) for e in args.epsilons.split(",")]
-    t_grid = np.linspace(-args.t_max, args.t_max, args.points)
+    t_grid = symmetric_grid(args.t_max, args.points)
     entries = definetti_sequence(law, epsilons, t_grid=t_grid)
     config = {
         **_law_config(args),

@@ -31,6 +31,9 @@ class ProbeOutOfRange(ValueError):
     """A probe difference t_j - t_k falls outside the grid span."""
 
 
+# rows grid_to_csv formats per block
+_CSV_BLOCK = 4096
+
 # adjacent-point phase jumps above this are read as a sign flip through zero;
 # legitimate grids keep increments well below pi (see grid invariant)
 PHASE_FLIP_THRESHOLD = 3.0
@@ -91,40 +94,55 @@ class CharacteristicFunctionGrid:
 
 
 def _unwrapped_log(t_grid, values) -> np.ndarray:
-    """Walk outward from t=0 accumulating principal phase increments."""
+    """Principal phase increments between neighbours, summed outward from t=0."""
     n = t_grid.size
     mid = n // 2
-    mags = np.log(np.abs(values))
     phase = np.zeros(n)
-    # principal increment between neighbours; |increment| near pi means the
-    # value passed through (or too close to) zero between the two samples
-    for direction in (1, -1):
-        rng = range(mid + 1, n) if direction == 1 else range(mid - 1, -1, -1)
-        for k in rng:
-            prev = k - direction
-            dphi = float(np.angle(values[k] / values[prev]))
-            if abs(dphi) > PHASE_FLIP_THRESHOLD:
-                witness = 0.5 * (t_grid[k] + t_grid[prev])
-                raise ZeroCrossing(
-                    f"CF sign flip between t={t_grid[prev]:.6g} and "
-                    f"t={t_grid[k]:.6g}; zero near t={witness:.6g}",
-                    witness=float(witness),
-                )
-            phase[k] = phase[prev] + dphi
-    logs = mags + 1j * phase
+    # each side's increments in walking order, away from t=0; |increment| near
+    # pi means the value passed through (or too close to) zero between the two
+    # samples, and the + side is searched first
+    for side in (np.arange(mid, n), np.arange(mid, -1, -1)):
+        v = values[side]
+        dphi = np.angle(v[1:] / v[:-1])
+        flips = np.flatnonzero(np.abs(dphi) > PHASE_FLIP_THRESHOLD)
+        if flips.size:
+            prev, k = side[flips[0]], side[flips[0] + 1]
+            witness = 0.5 * (t_grid[k] + t_grid[prev])
+            raise ZeroCrossing(
+                f"CF sign flip between t={t_grid[prev]:.6g} and "
+                f"t={t_grid[k]:.6g}; zero near t={witness:.6g}",
+                witness=float(witness),
+            )
+        phase[side[1:]] = np.cumsum(dphi)
+    logs = np.log(np.abs(values)) + 1j * phase
     logs[mid] = 0.0
     return logs
 
 
-def _sample(evaluator, t_max: float, points: int):
-    """The uniform symmetric t grid, and the evaluator called once on all of
-    it: one value per t, or a scalar for every t."""
+def symmetric_grid(t_max: float, points: int) -> np.ndarray:
+    """points t on [-t_max, t_max], evenly spaced and mirrored exactly.
+
+    The t >= 0 half is an np.linspace and the other half its negation, so
+    t == -t[::-1] bit for bit; an odd grid has 0.0 in the middle, an even
+    one the half linspace(t_max / (points - 1), t_max, points / 2).
+    """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
+    if points < 1:
+        raise ValueError("points must be at least 1")
+    if points % 2:
+        half = np.linspace(0.0, t_max, points // 2 + 1)
+        return np.concatenate([-half[:0:-1], half])
+    half = np.linspace(t_max / (points - 1), t_max, points // 2)
+    return np.concatenate([-half[::-1], half])
+
+
+def _sample(evaluator, t_max: float, points: int):
+    """The uniform symmetric t grid (symmetric_grid), and the evaluator called
+    once on all of it: one value per t, or a scalar for every t."""
     if points < 3 or points % 2 == 0:
         raise ValueError("points must be an odd integer >= 3")
-    t_grid = np.linspace(-t_max, t_max, points)
-    t_grid[points // 2] = 0.0
+    t_grid = symmetric_grid(t_max, points)
     values = np.asarray(evaluator(t_grid), dtype=complex)
     if values.ndim and values.shape != t_grid.shape:
         raise ValueError(f"evaluator gave shape {values.shape} for {points} t")
@@ -321,9 +339,11 @@ def verify_infinitely_divisible(
 
 def grid_to_csv(cf: CharacteristicFunctionGrid) -> str:
     """CSV text with columns t, re, im, log_re, log_im."""
+    cols = (cf.t_grid, cf.values.real, cf.values.imag, cf.log_values.real, cf.log_values.imag)
     buf = io.StringIO()
     buf.write("t,re,im,log_re,log_im\n")
-    for t, v, lv in zip(cf.t_grid, cf.values, cf.log_values):
-        row = (float(t), float(v.real), float(v.imag), float(lv.real), float(lv.imag))
-        buf.write(",".join(repr(x) for x in row) + "\n")
+    # a block of rows at a time, so only one block's Python floats are alive
+    for i in range(0, cf.t_grid.size, _CSV_BLOCK):
+        rows = zip(*(c[i : i + _CSV_BLOCK].tolist() for c in cols))
+        buf.write("".join(f"{t!r},{r!r},{i!r},{lr!r},{li!r}\n" for t, r, i, lr, li in rows))
     return buf.getvalue()

@@ -35,12 +35,13 @@ from .canonical import (
     jump_intensity,
     log_cf_lk,
 )
-from .divisibility import CharacteristicFunctionGrid, build_cf_grid
+from .divisibility import CharacteristicFunctionGrid, build_cf_grid, symmetric_grid
 from .measure import (
     CanonicalMeasure,
     atom_mass_at,
     combine,
     fourier_transform,
+    hermitian_fold,
     integrate,
     mass_between,
     restrict,
@@ -332,6 +333,16 @@ def _bool_runs(mask: np.ndarray):
     return [(int(a), int(b) - 1) for a, b in zip(edges[::2], edges[1::2])]
 
 
+def _median(x: np.ndarray) -> float:
+    """The median of a 1-d array as np.median gives it (0.0 if empty), from a
+    sort: np.median imports numpy.ma."""
+    if not x.size:
+        return 0.0
+    s = np.sort(x)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
+
+
 def _mass_centroid(g: CanonicalMeasure, lo: float, hi: float) -> Optional[float]:
     piece = restrict(g, lo, hi, include_lo=False, include_hi=True)
     piece_mass = total_mass(piece)
@@ -414,7 +425,7 @@ def extract_limit(
     for a, b in forced_runs:
         in_forced[a:b] = True
     outside = increments[~in_forced]
-    med = float(np.median(outside)) if outside.size else 0.0
+    med = _median(outside)
     is_jump = ~in_forced & (increments > max(jump_factor * med, atom_floor))
 
     h_min, g_min = family.entries[-1]
@@ -724,7 +735,7 @@ def g_from_k(
 
     drops = np.where(-np.diff(k_values) > 0, -np.diff(k_values), 0.0)
     widths = np.diff(u_grid)
-    med = float(np.median(drops)) if drops.size else 0.0
+    med = _median(drops)
     is_jump = drops > max(jump_factor * med, atom_floor * 1e-3)
 
     centers = 0.5 * (u_grid[:-1] + u_grid[1:])
@@ -826,7 +837,7 @@ def invert_cf(
 
     if reference_ts is None:
         lim = min(5.0, cf.t_max)
-        reference_ts = np.linspace(-lim, lim, 101)
+        reference_ts = symmetric_grid(lim, 101)
     reference_ts = np.asarray(reference_ts, dtype=float)
     law0 = LevyKhintchinePair(gamma=0.0, G=recovered)
     base = log_cf_lk(law0, reference_ts)
@@ -883,15 +894,19 @@ class TruncationResult:
     drift: float
 
     def log_cf(self, t):
-        """Exponent of the assembled approximant CF at t (scalar or array)."""
-        t = np.asarray(t, dtype=float)
+        """Exponent of the assembled approximant CF at t (scalar or array);
+        on a t that mirrors exactly about 0 only the t >= 0 half is evaluated
+        (measure.hermitian_fold)."""
+        out = hermitian_fold(self._log_cf, np.asarray(t, dtype=float))
+        return out if out.shape else complex(out)
+
+    def _log_cf(self, t):
         psi = fourier_transform(self.jump_distribution, t)
-        out = (
+        return (
             1j * self.drift * t
             - 0.5 * self.gaussian_mass * t * t
             + self.lambda_eps * (psi - 1.0)
         )
-        return out if out.shape else complex(out)
 
     def compound_poisson_spec(self) -> Optional[CompoundPoissonSpec]:
         if self.lambda_eps <= 0:
@@ -949,7 +964,7 @@ def definetti_sequence(
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be positive and strictly decreasing")
     if t_grid is None:
-        t_grid = np.linspace(-5.0, 5.0, 201)
+        t_grid = symmetric_grid(5.0, 201)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference_log_cf is None:
         ref_log = log_cf_lk(law, t_grid)

@@ -439,17 +439,32 @@ def quantile(m: CanonicalMeasure, q):
     return float(out[0]) if np.isscalar(q) or np.ndim(q) == 0 else out
 
 
+def hermitian_fold(f, t):
+    """f(t) for an f with f(-t) = conj f(t), evaluated on half of a mirrored t.
+
+    When the 1-d t is an exact mirror (t == -t[::-1] bit for bit), f is called
+    once on its t >= 0 half, t[n // 2:], and the negative half is filled with
+    the conjugates of the mirrored values. Any other t goes to f unchanged.
+    """
+    tt = np.asarray(t, dtype=float)
+    if tt.ndim != 1 or not np.array_equal(tt, -tt[::-1]):
+        return f(t)
+    n = tt.size
+    half = np.asarray(f(tt[n // 2 :]))
+    return np.concatenate([np.conj(half[::-1][: n // 2]), half])
+
+
 def fourier_transform(m: CanonicalMeasure, ts):
     """Integral of exp(i t u) against the measure, per t.
 
     Atoms contribute exactly; each density cell contributes its closed-form
     transform mass * e^{it c} * sin(t w/2)/(t w/2) (c the cell centre, w its
-    width), exact because cell densities are constant; the sinc is taken once
-    per distinct width. Uniform t grids of 16 or more points advance the
-    e^{itc} phases by a per-step recurrence, re-anchored on a direct
-    exponential every ``_PHASE_ANCHOR_EVERY`` steps, with each point's rounding
-    off the exact progression corrected to first order; far-out cells thus
-    keep their phase on long grids.
+    width, the ratio 1 where t w = 0), exact because cell densities are
+    constant; the sinc is taken once per distinct width. Uniform t grids of
+    16 or more points advance the e^{itc} phases by a per-step recurrence,
+    re-anchored on a direct exponential every ``_PHASE_ANCHOR_EVERY`` steps,
+    with each point's rounding off the exact progression corrected to first
+    order; far-out cells thus keep their phase on long grids.
     """
     scalar = np.isscalar(ts) or np.ndim(ts) == 0
     tt = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -476,8 +491,9 @@ def fourier_transform(m: CanonicalMeasure, ts):
             anchor, phase = t, np.exp(1j * t * us)
         else:
             phase *= step
-        # np.sinc(x) = sin(pi x)/(pi x), so feed it t*hw/pi
-        np.multiply(rows, np.sinc(t * hw_distinct / np.pi)[which], out=wk)
+        x = t * hw_distinct
+        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+        np.multiply(rows, sinc[which], out=wk)
         (re, im), (cre, cim) = wk @ phase.view(float).reshape(-1, 2)
         # e^{iu(t - t')} ~ 1 + iu(t - t') for the grid's rounding t - t'
         off = (t - anchor) - j * dt

@@ -352,9 +352,6 @@ def paths_to_csv(paths: Sequence[PathSample]) -> str:
 
 def empirical_cf_to_csv(ecf: EmpiricalCF) -> str:
     """CSV text with columns t, re, im, half_width."""
-    buf = io.StringIO()
-    buf.write("t,re,im,half_width\n")
-    for t, e, w in zip(ecf.t_grid, ecf.estimates, ecf.half_widths):
-        row = (float(t), float(e.real), float(e.imag), float(w))
-        buf.write(",".join(repr(x) for x in row) + "\n")
-    return buf.getvalue()
+    cols = (ecf.t_grid, ecf.estimates.real, ecf.estimates.imag, ecf.half_widths)
+    rows = zip(*(c.tolist() for c in cols))
+    return "t,re,im,half_width\n" + "".join(f"{t!r},{r!r},{i!r},{w!r}\n" for t, r, i, w in rows)

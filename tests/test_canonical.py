@@ -36,11 +36,14 @@ from idlaws.canonical import (
     tail_function_m,
     tail_function_n,
 )
-from idlaws import canonical
+from idlaws import canonical, khinchin
+from idlaws.divisibility import symmetric_grid
+from idlaws.khinchin import truncate_cp
 from idlaws.measure import (
     CanonicalMeasure,
     InfiniteWeight,
     combine,
+    hermitian_fold,
     integrate,
     restrict,
     reweight,
@@ -570,6 +573,113 @@ def test_cauchy_kernel_inner_node_count(monkeypatch) -> None:
     seen.clear()
     log_cf_lk(law, 10.0)
     assert sum(seen) <= 2048 * 4
+
+
+# -- the Hermitian fold --------------------------------------------------------------
+
+
+def mixed_law() -> LevyKhintchinePair:
+    """Drift, a Gaussian atom, off-zero atoms and cells inside and outside |u| <= 1."""
+    G = CanonicalMeasure(
+        atoms=((0.0, 0.3), (0.5, 0.2), (-2.0, 0.1)),
+        edges=[-3.0, -1.5, -0.8, 0.6, 1.2, 4.0],
+        values=[0.2, 0.0, 0.5, 0.0, 0.3],
+    )
+    return LevyKhintchinePair(gamma=0.7, G=G)
+
+
+FOLD_GRIDS = [symmetric_grid(10.0, 41), symmetric_grid(10.0, 40), symmetric_grid(81.0, 61)]
+
+
+@pytest.mark.parametrize("t", FOLD_GRIDS)
+def test_folded_log_cf_matches_direct_evaluation(t) -> None:
+    """Folded values are exact conjugate mirrors, and each is within
+    1e-15 max(1, |log phi|) of a direct evaluation at its own t (a scalar call,
+    with no phase recurrence). In TruncationResult.log_cf the rate lambda
+    multiplies the rounding of the jump law's transform, so lambda takes the
+    place of 1 there.
+    """
+    n = t.size // 2
+
+    def check(log_cf_of, scale):
+        folded = log_cf_of(t)
+        direct = np.array([log_cf_of(x) for x in t])
+        assert np.array_equal(folded[:n], np.conj(folded[::-1][:n]))
+        assert np.all(np.abs(folded - direct) <= 1e-15 * np.maximum(scale, np.abs(direct)))
+
+    for law in (catalog("cauchy", 1.0), mixed_law(), catalog("poisson", 1.5, -0.7)):
+        check(lambda x: log_cf_lk(law, x), 1.0)
+    for eps in (0.5, 0.02):
+        tr = truncate_cp(catalog("cauchy", 1.0), eps)
+        check(tr.log_cf, max(1.0, tr.lambda_eps))
+
+
+@pytest.mark.parametrize("points", [21, 20])
+def test_folded_log_cf_evaluates_half_the_grid(monkeypatch, points) -> None:
+    """Work-count guard: on an n-point mirror the kernel block and the Fourier
+    transform see ceil(n/2) t, in log_cf_lk and in TruncationResult.log_cf."""
+    seen = {"ft": [], "kernel": []}
+    real_ft = canonical.fourier_transform
+
+    def counted_ft(m, ts):
+        seen["ft"].append(np.size(ts))
+        return real_ft(m, ts)
+
+    def counted_kernel(x):
+        seen["kernel"].append(np.shape(x)[0])
+        return exp_remainder2(x)
+
+    monkeypatch.setattr(canonical, "fourier_transform", counted_ft)
+    monkeypatch.setattr(khinchin, "fourier_transform", counted_ft)
+    monkeypatch.setattr(canonical, "exp_remainder2", counted_kernel)
+    t = symmetric_grid(5.0, points)
+    half = -(-points // 2)
+    log_cf_lk(mixed_law(), t)
+    # the mixed law's nodes fit one column block, so each t is one kernel row
+    assert sum(seen["ft"]) == half and sum(seen["kernel"]) == half
+    seen["ft"].clear()
+    truncate_cp(mixed_law(), 0.1).log_cf(t)
+    assert seen["ft"] == [half]
+    # a grid that is not an exact mirror is evaluated whole
+    seen["ft"].clear()
+    seen["kernel"].clear()
+    log_cf_lk(mixed_law(), np.linspace(-5.0, 4.0, points))
+    assert sum(seen["ft"]) == points and sum(seen["kernel"]) == points
+
+
+def test_hermitian_fold_falls_through_off_the_mirror() -> None:
+    calls = []
+
+    def f(t):
+        calls.append(np.array(t, copy=True))
+        return np.exp(1j * np.asarray(t)) + 0.5
+
+    for t in (
+        np.linspace(-5.0, 5.0, 201),  # off the exact mirror by rounding
+        np.array([-1.0, 0.0, 2.0]),
+        np.array([[-1.0, 1.0], [-2.0, 2.0]]),
+        0.75,
+    ):
+        calls.clear()
+        out = hermitian_fold(f, t)
+        assert len(calls) == 1 and np.array_equal(calls[0], t)
+        assert np.array_equal(out, f(t))
+
+
+def test_hermitian_fold_on_a_mirror() -> None:
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.exp(1j * t) - 1.0 - 0.25 * t * t
+
+    for points in (1, 2, 7, 8):
+        calls.clear()
+        t = symmetric_grid(3.0, points)
+        out = hermitian_fold(f, t)
+        assert calls == [-(-points // 2)]
+        assert out.shape == t.shape
+        assert np.max(np.abs(out - f(t))) <= 1e-15
 
 
 def test_catalog_bad_parameters() -> None:

@@ -360,6 +360,10 @@ def test_cli_runs_leave_out_numpy_ma(tmp_path) -> None:
         ["verify-id", "--catalog", "gaussian:0,1"],
         ["eval", "--catalog", "cauchy:1", "--points", "21"],
         ["approx-cp", "--catalog", "cauchy:1", "--epsilons", "0.5", "--points", "21"],
+        ["invert", "--catalog", "poisson:1,1"],
+        ["convert", "--catalog", "poisson:1,1", "--to", "levy"],
+        ["simulate", "--catalog", "poisson:1,1", "--epsilon", "0.5", "--steps", "20",
+         "--paths", "2", "--cf-out", str(tmp_path / "cf.csv")],
     ]
     out = str(tmp_path / "out")
     code = (
@@ -367,4 +371,4 @@ def test_cli_runs_leave_out_numpy_ma(tmp_path) -> None:
         f"codes = [main(argv + ['--out', {out!r}]) for argv in {argvs!r}]; "
         "print(codes, 'numpy.ma' in sys.modules)"
     )
-    assert _child_stdout(code).split("\n")[-1] == "[0, 0, 0] False"
+    assert _child_stdout(code).split("\n")[-1] == "[0, 0, 0, 0, 0, 0] False"

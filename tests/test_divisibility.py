@@ -3,19 +3,25 @@
 import numpy as np
 import pytest
 
+from idlaws import divisibility
+from idlaws.canonical import CompoundPoissonSpec, catalog, log_cf_lk
 from idlaws.divisibility import (
+    PHASE_FLIP_THRESHOLD,
     CharacteristicFunctionGrid,
     ProbeOutOfRange,
     TriangularArrayRow,
     ZeroCrossing,
+    _unwrapped_log,
     build_cf_grid,
     build_log_cf_grid,
     grid_to_csv,
     nth_root,
     psd_check,
+    symmetric_grid,
     triangular_row,
     verify_infinitely_divisible,
 )
+from idlaws.measure import CanonicalMeasure
 
 
 def gaussian_cf(t):
@@ -284,3 +290,143 @@ def test_grid_csv_export() -> None:
     cells = lines[1].split(",")
     assert float(cells[0]) == -2.0
     assert float(cells[3]) == pytest.approx(-2.0)
+
+
+def grid_to_csv_rows(cf: CharacteristicFunctionGrid) -> str:
+    """The row-by-row CSV writer grid_to_csv replaced, kept as its reference."""
+    out = "t,re,im,log_re,log_im\n"
+    for t, v, lv in zip(cf.t_grid, cf.values, cf.log_values):
+        row = (float(t), float(v.real), float(v.imag), float(lv.real), float(lv.imag))
+        out += ",".join(repr(x) for x in row) + "\n"
+    return out
+
+
+def test_grid_csv_matches_row_by_row_reference() -> None:
+    for g in (
+        build_cf_grid(poisson_cf, 2.0, 5),
+        build_cf_grid(lambda t: np.exp(2.5j * t) * poisson_cf(t), 10.0, 201),
+        build_log_cf_grid(lambda t: -0.5 * t * t, 81.0, 9001),  # three row blocks
+    ):
+        assert grid_to_csv(g) == grid_to_csv_rows(g)
+
+
+# -- the exact mirror grid ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "t_max, points",
+    [(5.0, 201), (81.0, 32401), (6.0, 7), (1.0, 3), (5.0, 200), (2.5, 2), (0.3, 1)],
+)
+def test_symmetric_grid_is_an_exact_mirror(t_max, points) -> None:
+    t = symmetric_grid(t_max, points)
+    assert t.shape == (points,)
+    assert np.array_equal(t, -t[::-1])
+    assert not np.any(np.signbit(t[points // 2 :]))
+    if points % 2:
+        assert t[points // 2] == 0.0
+    if points > 1:
+        assert t[-1] == t_max and np.all(np.diff(t) > 0)
+        lin = np.linspace(-t_max, t_max, points)
+        assert np.max(np.abs(t - lin)) <= 1e-12 * t_max
+
+
+def test_symmetric_grid_rejects_bad_parameters() -> None:
+    with pytest.raises(ValueError):
+        symmetric_grid(0.0, 11)
+    with pytest.raises(ValueError):
+        symmetric_grid(float("nan"), 11)
+    with pytest.raises(ValueError):
+        symmetric_grid(1.0, 0)
+
+
+def test_builders_sample_the_exact_mirror() -> None:
+    g = build_log_cf_grid(lambda t: -0.5 * t * t, t_max=81.0, points=32401)
+    assert np.array_equal(g.t_grid, symmetric_grid(81.0, 32401))
+
+
+# -- the phase unwrap against the point-by-point walk it replaced -------------------
+
+
+def unwrapped_log_walk(t_grid, values) -> np.ndarray:
+    """Walk outward from t=0 accumulating principal phase increments."""
+    n = t_grid.size
+    mid = n // 2
+    mags = np.log(np.abs(values))
+    phase = np.zeros(n)
+    for direction in (1, -1):
+        rng = range(mid + 1, n) if direction == 1 else range(mid - 1, -1, -1)
+        for k in rng:
+            prev = k - direction
+            dphi = float(np.angle(values[k] / values[prev]))
+            if abs(dphi) > PHASE_FLIP_THRESHOLD:
+                witness = 0.5 * (t_grid[k] + t_grid[prev])
+                raise ZeroCrossing(
+                    f"CF sign flip between t={t_grid[prev]:.6g} and "
+                    f"t={t_grid[k]:.6g}; zero near t={witness:.6g}",
+                    witness=float(witness),
+                )
+            phase[k] = phase[prev] + dphi
+    logs = mags + 1j * phase
+    logs[mid] = 0.0
+    return logs
+
+
+def _cp_skew():
+    spec = CompoundPoissonSpec(
+        rate=1.5,
+        jump=CanonicalMeasure.from_atoms([(-2.0, 0.25), (0.5, 0.25), (1.5, 0.5)]),
+    )
+    return catalog("compound_poisson", spec)
+
+
+def _unwrap_cases():
+    """(t, CF values) of the grids the tests and the benchmark's verify-id unwrap."""
+    yield symmetric_grid(10.0, 201), gaussian_cf
+    yield symmetric_grid(10.0, 201), poisson_cf
+    yield symmetric_grid(10.0, 201), lambda t: np.exp(2.5j * t) * poisson_cf(t)
+    yield symmetric_grid(5.0, 1001), lambda t: np.exp(np.exp(1j * t) - 1.0)
+    yield symmetric_grid(10.0, 401), lambda t: np.exp(log_cf_lk(catalog("gaussian", 0.0, 1.0), t))
+    yield symmetric_grid(40.0, 8001), lambda t: np.exp(log_cf_lk(_cp_skew(), t))
+    yield symmetric_grid(6.0, 7), lambda t: np.exp(log_cf_lk(catalog("cauchy", 1.0), t))
+
+
+def test_unwrapped_log_matches_the_walk() -> None:
+    for t, cf in _unwrap_cases():
+        values = np.asarray(cf(t), dtype=complex)
+        got, ref = _unwrapped_log(t, values), unwrapped_log_walk(t, values)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+
+
+def _walk_error(unwrap, t, values):
+    with pytest.raises(ZeroCrossing) as exc:
+        unwrap(t, values)
+    return str(exc.value), exc.value.witness
+
+
+def test_unwrapped_log_flip_witness_matches_the_walk() -> None:
+    t = symmetric_grid(4.0, 201)
+    both_sides = uniform_cf(t)
+    minus_only = np.where(t < 0.0, uniform_cf(t), gaussian_cf(t))
+    plus_only = np.where(t > 0.0, uniform_cf(t), gaussian_cf(t))
+    for values in (both_sides, minus_only, plus_only):
+        assert _walk_error(_unwrapped_log, t, values) == _walk_error(
+            unwrapped_log_walk, t, values
+        )
+    # the + side is searched first
+    assert _walk_error(_unwrapped_log, t, both_sides)[1] > 0
+    assert _walk_error(_unwrapped_log, t, minus_only)[1] < 0
+
+
+def test_build_cf_grid_unwraps_without_a_per_point_angle(monkeypatch) -> None:
+    """Work-count guard: one np.angle call per side, not one per grid point."""
+    calls = []
+    real_angle = np.angle
+
+    def counting_angle(z, *args, **kwargs):
+        calls.append(np.size(z))
+        return real_angle(z, *args, **kwargs)
+
+    monkeypatch.setattr(divisibility.np, "angle", counting_angle)
+    build_cf_grid(poisson_cf, t_max=10.0, points=2001)
+    assert calls == [1000, 1000]

@@ -13,7 +13,8 @@ from idlaws.canonical import (
     catalog,
     log_cf_lk,
 )
-from idlaws.divisibility import build_cf_grid, build_log_cf_grid
+from idlaws import khinchin
+from idlaws.divisibility import build_cf_grid, build_log_cf_grid, symmetric_grid
 from idlaws.khinchin import (
     BoundViolated,
     GhFamily,
@@ -23,6 +24,7 @@ from idlaws.khinchin import (
     OutOfRange,
     SignViolation,
     _bool_runs,
+    _median,
     _simpson_weights,
     _taper_window,
     definetti_sequence,
@@ -776,3 +778,32 @@ def test_definetti_epsilons_validated() -> None:
         definetti_sequence(law, [0.1, 0.5])
     with pytest.raises(ValueError):
         definetti_sequence(law, [0.5, 0.0])
+
+
+def test_median_matches_numpy() -> None:
+    rng = np.random.default_rng(8)
+    cases = [rng.exponential(size=n) for n in (1, 2, 3, 10, 11, 6000)]
+    cases += [np.zeros(7), np.array([3.0, 1.0, 2.0, 1.0]), np.array([0.0, 1e-300, 5e300, 1e-3])]
+    for x in cases:
+        got = _median(x)
+        assert type(got) is float and got == float(np.median(x))
+    assert _median(np.empty(0)) == 0.0
+
+
+def test_default_reference_grids_are_exact_mirrors(monkeypatch) -> None:
+    """invert_cf's reference t and definetti_sequence's default t grid come
+    from symmetric_grid, so the log CF on them is folded."""
+    seen = []
+    real_log_cf_lk = khinchin.log_cf_lk
+
+    def recording(law, t):
+        seen.append(np.array(t, copy=True))
+        return real_log_cf_lk(law, t)
+
+    monkeypatch.setattr(khinchin, "log_cf_lk", recording)
+    cf = build_log_cf_grid(lambda t: -0.5 * t * t, t_max=41.0, points=8201)
+    invert_cf(cf)
+    definetti_sequence(catalog("poisson", 1.0, 1.0), [0.5])
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], symmetric_grid(5.0, 101))
+    assert np.array_equal(seen[1], symmetric_grid(5.0, 201))

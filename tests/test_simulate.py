@@ -388,3 +388,19 @@ def test_empirical_cf_to_csv_layout() -> None:
     lines = empirical_cf_to_csv(e).strip().split("\n")
     assert lines[0] == "t,re,im,half_width"
     assert lines[2] == "1.0,0.5,-0.25,0.3"
+
+
+def empirical_cf_to_csv_rows(ecf: EmpiricalCF) -> str:
+    """The row-by-row CSV writer empirical_cf_to_csv replaced, kept as its reference."""
+    out = "t,re,im,half_width\n"
+    for t, e, w in zip(ecf.t_grid, ecf.estimates, ecf.half_widths):
+        row = (float(t), float(e.real), float(e.imag), float(w))
+        out += ",".join(repr(x) for x in row) + "\n"
+    return out
+
+
+def test_empirical_cf_csv_matches_row_by_row_reference() -> None:
+    rng = np.random.default_rng(5)
+    for samples in (rng.standard_cauchy(200), np.array([0.0, 1.0, -2.0])):
+        ecf = empirical_cf(samples, np.linspace(-5.0, 5.0, 101))
+        assert empirical_cf_to_csv(ecf) == empirical_cf_to_csv_rows(ecf)
