@@ -338,10 +338,6 @@ def log_cf(law, t):
     return log_cf_lk(law_to_lk(law), t)
 
 
-# public name kept for existing callers; log_cf_lk takes t arrays itself
-log_cf_lk_profile = log_cf_lk
-
-
 # -- conversions ---------------------------------------------------------------
 
 
@@ -424,10 +420,10 @@ def scale_law(law: LevyKhintchinePair, lam: float) -> LevyKhintchinePair:
 # -- compound Poisson and the catalog ------------------------------------------
 
 
-def cf_compound_poisson(spec: CompoundPoissonSpec, t: float) -> complex:
-    """CF exp(rate * (psi(t) - 1)) with psi the jump distribution's CF."""
-    psi = fourier_transform(spec.jump, float(t))
-    return complex(np.exp(spec.rate * (psi - 1.0)))
+def cf_compound_poisson(spec: CompoundPoissonSpec, t):
+    """CF exp(rate * (psi(t) - 1)) at t (any shape), psi the jump law's CF."""
+    out = np.exp(spec.rate * (fourier_transform(spec.jump, t) - 1.0))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def compound_poisson_to_lk(spec: CompoundPoissonSpec) -> LevyKhintchinePair:

@@ -84,13 +84,18 @@ class CharacteristicFunctionGrid:
     def step(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
 
-    def log_at(self, t: float) -> complex:
-        t = float(t)
-        if t < self.t_grid[0] or t > self.t_grid[-1]:
-            raise ProbeOutOfRange(f"t={t} outside grid span [{-self.t_max}, {self.t_max}]")
-        re = np.interp(t, self.t_grid, self.log_values.real)
-        im = np.interp(t, self.t_grid, self.log_values.imag)
-        return complex(re, im)
+    def log_at(self, t):
+        """log phi at t (any shape), linear between grid points; raises
+        ProbeOutOfRange off the span or at NaN."""
+        tt = np.asarray(t, dtype=float)
+        inside = (tt >= self.t_grid[0]) & (tt <= self.t_grid[-1])
+        if not np.all(inside):
+            bad = float(tt[~inside].flat[0])
+            raise ProbeOutOfRange(f"t={bad} outside grid span [{-self.t_max}, {self.t_max}]")
+        out = np.empty(tt.shape, dtype=complex)
+        out.real = np.interp(tt, self.t_grid, self.log_values.real)
+        out.imag = np.interp(tt, self.t_grid, self.log_values.imag)
+        return complex(out) if tt.ndim == 0 else out
 
 
 def _unwrapped_log(t_grid, values) -> np.ndarray:
@@ -246,9 +251,7 @@ def psd_check(
         raise ProbeOutOfRange(
             f"probe difference {np.max(np.abs(diffs)):.6g} exceeds grid span {cf.t_max:.6g}"
         )
-    re = np.interp(diffs.ravel(), cf.t_grid, cf.log_values.real)
-    im = np.interp(diffs.ravel(), cf.t_grid, cf.log_values.imag)
-    H = np.exp(re + 1j * im).reshape(diffs.shape)
+    H = np.exp(cf.log_at(np.clip(diffs, cf.t_grid[0], cf.t_grid[-1])))
     H = 0.5 * (H + H.conj().T)
     min_eig = float(np.linalg.eigvalsh(H)[0])
     return (min_eig >= -tolerance, min_eig)

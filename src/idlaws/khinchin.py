@@ -198,21 +198,19 @@ def gaussian_gh_family(hs: Sequence[float], sigma2: float = 1.0) -> GhFamily:
 # -- I_h and the tail bounds --------------------------------------------------------
 
 
-def i_h(cf: CharacteristicFunctionGrid, h: float, t: float) -> complex:
-    """(phi(t)^h - 1)/h, the finite-h stand-in for log phi(t)."""
+def i_h(cf: CharacteristicFunctionGrid, h: float, t):
+    """(phi(t)^h - 1)/h at t (any shape), the finite-h stand-in for log phi(t)."""
     if not h > 0:
         raise ValueError("h must be positive")
-    t = float(t)
-    if t == 0.0:
-        return 0j
-    return complex((np.exp(h * cf.log_at(t)) - 1.0) / h)
+    out = (np.exp(h * cf.log_at(t)) - 1.0) / h
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def _gl_integral(f, lo: float, hi: float, order: int = 64) -> float:
+    """Gauss-Legendre integral of f over [lo, hi], f called once on the nodes."""
     x, w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = mid + half * x
-    return float(half * np.sum(w * np.array([f(s) for s in nodes])))
+    return float(half * np.sum(w * f(mid + half * x)))
 
 
 # the (A.3) constant: min over |u| <= 1 of (1 - cos u)(1+u^2)/u^2. The
@@ -497,50 +495,60 @@ def _cubic_coeffs(f):
     )
 
 
-def _interp_prefix(cf: CharacteristicFunctionGrid, s: float) -> complex:
-    """Prefix integral at an arbitrary point: cubic across the end cell."""
-    prefix = _log_prefix(cf)
-    t, d, y = cf.t_grid, cf.step, cf.log_values
-    j = int(np.clip(np.floor((s - t[0]) / d), 0, t.size - 2))
-    frac = (s - t[j]) / d
-    # cubic through stencil points at local coordinates -1, 0, 1, 2
-    j0 = int(np.clip(j, 1, t.size - 3))
-    f = y[j0 - 1 : j0 + 3]
-    base = (j0 - 1) - j  # stencil start in cell-local units
-    c0, c1, c2, c3 = _cubic_coeffs(f)
+def _stencil(cf: CharacteristicFunctionGrid, s: np.ndarray):
+    """Per point s: its grid cell j, the first node j0 - 1 of its four-point
+    stencil and the power-basis coefficients of the cubic through it."""
+    tg, y = cf.t_grid, cf.log_values
+    j = np.clip(np.floor((s - tg[0]) / cf.step), 0, tg.size - 2).astype(int)
+    j0 = np.clip(j, 1, tg.size - 3)
+    return j, j0, _cubic_coeffs(y[np.add.outer(np.arange(4), j0 - 1)])
 
-    # antiderivative of the Lagrange cubic, evaluated from cell start to frac
+
+def _interp_prefix(cf: CharacteristicFunctionGrid, s: np.ndarray) -> np.ndarray:
+    """Prefix integral at arbitrary points: cubic across the end cell."""
+    d = cf.step
+    j, j0, (c0, c1, c2, c3) = _stencil(cf, s)
+    frac = (s - cf.t_grid[j]) / d
+    base = (j0 - 1) - j  # stencil start in cell-local units
+
+    # antiderivative of the Lagrange cubic, evaluated from cell start to frac;
+    # float_power is the C library's pow, as ** on a Python float, where
+    # np.power's vector kernel rounds differently
     def anti(x):
         xi = x - base  # coordinate with stencil start at 0; nodes 0,1,2,3
-        return d * (c0 * xi + c1 * xi**2 / 2 + c2 * xi**3 / 3 + c3 * xi**4 / 4)
+        p2, p3, p4 = (np.float_power(xi, k) for k in (2, 3, 4))
+        return d * (c0 * xi + c1 * p2 / 2 + c2 * p3 / 3 + c3 * p4 / 4)
 
-    return complex(prefix[j] + anti(frac) - anti(0.0))
+    return _log_prefix(cf)[j] + anti(frac) - anti(0.0)
 
 
-def _cubic_log_at(cf: CharacteristicFunctionGrid, t: float) -> complex:
+def _cubic_log_at(cf: CharacteristicFunctionGrid, t: np.ndarray) -> np.ndarray:
     """log phi off the grid via the local cubic (matches the integral's order)."""
-    tg, y, d = cf.t_grid, cf.log_values, cf.step
-    j = int(np.clip(np.floor((t - tg[0]) / d), 0, tg.size - 2))
-    if t == tg[j]:
-        return complex(y[j])
-    j0 = int(np.clip(j, 1, tg.size - 3))
-    f = y[j0 - 1 : j0 + 3]
-    xi = (t - tg[j0 - 1]) / d  # nodes at 0, 1, 2, 3
-    c0, c1, c2, c3 = _cubic_coeffs(f)
-    return complex(c0 + xi * (c1 + xi * (c2 + xi * c3)))
+    j, j0, (c0, c1, c2, c3) = _stencil(cf, t)
+    xi = (t - cf.t_grid[j0 - 1]) / cf.step  # nodes at 0, 1, 2, 3
+    return np.where(t == cf.t_grid[j], cf.log_values[j], c0 + xi * (c1 + xi * (c2 + xi * c3)))
 
 
-def delta(cf: CharacteristicFunctionGrid, t: float) -> complex:
+def _window_fits(cf: CharacteristicFunctionGrid, t) -> np.ndarray:
+    """Whether [t-1, t+1] lies on the grid span (False at NaN)."""
+    return (t - 1.0 >= cf.t_grid[0] - 1e-12) & (t + 1.0 <= cf.t_grid[-1] + 1e-12)
+
+
+def delta(cf: CharacteristicFunctionGrid, t):
     """The windowed-average transform: integral of log phi over [t-1, t+1]
-    minus 2 log phi(t)."""
-    t = float(t)
-    if t - 1.0 < cf.t_grid[0] - 1e-12 or t + 1.0 > cf.t_grid[-1] + 1e-12:
+    minus 2 log phi(t), at t of any shape. Raises OutOfRange where the window
+    leaves the grid, or at NaN."""
+    tt = np.asarray(t, dtype=float)
+    fits = _window_fits(cf, tt)
+    if not np.all(fits):
+        bad = float(tt[~fits].flat[0])
         raise OutOfRange(
-            f"[t-1, t+1] = [{t - 1}, {t + 1}] exceeds the grid span "
+            f"[t-1, t+1] = [{bad - 1}, {bad + 1}] exceeds the grid span "
             f"[{cf.t_grid[0]}, {cf.t_grid[-1]}]"
         )
-    window = _interp_prefix(cf, t + 1.0) - _interp_prefix(cf, t - 1.0)
-    return window - 2.0 * _cubic_log_at(cf, t)
+    window = _interp_prefix(cf, tt + 1.0) - _interp_prefix(cf, tt - 1.0)
+    out = window - 2.0 * _cubic_log_at(cf, tt)
+    return complex(out) if tt.ndim == 0 else out
 
 
 def delta_profile(cf: CharacteristicFunctionGrid):
@@ -557,12 +565,8 @@ def delta_profile(cf: CharacteristicFunctionGrid):
         ts = cf.t_grid[m : n - m]
         vals = prefix[2 * m :] - prefix[: n - 2 * m] - 2.0 * cf.log_values[m : n - m]
         return ts, vals
-    mask = (cf.t_grid - 1.0 >= cf.t_grid[0] - 1e-12) & (
-        cf.t_grid + 1.0 <= cf.t_grid[-1] + 1e-12
-    )
-    ts = cf.t_grid[mask]
-    vals = np.array([delta(cf, float(t)) for t in ts])
-    return ts, vals
+    ts = cf.t_grid[_window_fits(cf, cf.t_grid)]
+    return ts, delta(cf, ts)
 
 
 MIN_INVERSION_SPAN = 40.0
@@ -649,7 +653,7 @@ def k_from_delta(
     t_span = float(delta_ts[-1])
     if t_span < MIN_INVERSION_SPAN:
         raise InsufficientSpan(
-            f"Delta spans only [0, {t_span:.3g}]; need at least {MIN_INVERSION_SPAN}"
+            f"Delta spans only [0, {t_span}]; need at least {MIN_INVERSION_SPAN}"
         )
     h = _even_step(delta_ts)
     if h is None or h <= 0.0:
@@ -841,7 +845,7 @@ def invert_cf(
     reference_ts = np.asarray(reference_ts, dtype=float)
     law0 = LevyKhintchinePair(gamma=0.0, G=recovered)
     base = log_cf_lk(law0, reference_ts)
-    actual = np.array([cf.log_at(float(t)) for t in reference_ts])
+    actual = cf.log_at(reference_ts)
     resid = actual - base
     denom = float(np.sum(reference_ts * reference_ts))
     drift = float(np.sum(reference_ts * resid.imag) / denom) if denom > 0 else 0.0

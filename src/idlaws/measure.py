@@ -193,22 +193,20 @@ def atom_mass_at(m: CanonicalMeasure, loc, tol=ATOM_LOCATION_TOL) -> float:
     return 0.0
 
 
-def _lookup_override(overrides, loc):
-    if overrides is None:
-        return None
-    if loc in overrides:
-        return overrides[loc]
-    for key, val in overrides.items():
-        if abs(key - loc) <= ATOM_LOCATION_TOL:
-            return val
-    return None
-
-
 def _eval_on(f, x):
     """f called once on the array x, broadcast to x's shape; a real f stays
     real (float), a complex one complex."""
     v = np.asarray(f(x))
     return np.broadcast_to(v if np.iscomplexobj(v) else v.astype(float), x.shape)
+
+
+def _with_overrides(locs, fv, overrides):
+    """fv at the atom locations, with the value of the first override key
+    within ATOM_LOCATION_TOL of a location in its place."""
+    if not overrides:
+        return fv
+    hit = np.abs(locs[:, None] - np.array(list(overrides))) <= ATOM_LOCATION_TOL
+    return np.where(hit.any(axis=1), np.array(list(overrides.values()))[hit.argmax(axis=1)], fv)
 
 
 def _real_weight(w, x):
@@ -238,36 +236,30 @@ def _gauss_nodes(m: CanonicalMeasure, order):
     return nodes.ravel(), weights.ravel()
 
 
-def integrate(m: CanonicalMeasure, f, atom_values=None, order=20) -> complex:
+def integrate(m: CanonicalMeasure, f, atom_values=None) -> complex:
     """Integrate a test function against the measure.
 
-    Atoms contribute mass * f(location), except that locations listed in
-    ``atom_values`` use the supplied value instead (for integrands with a
-    removable singularity there). The density contributes a per-cell
-    Gauss-Legendre quadrature of the given order. Deterministic for a fixed
-    configuration.
+    f is called on arrays of locations. Atoms contribute mass * f(location),
+    summed in atom order, except that locations listed in ``atom_values``
+    use the supplied value instead (for integrands with a removable
+    singularity there). The density contributes a per-cell order-20
+    Gauss-Legendre quadrature. Deterministic for a fixed configuration.
 
     Raises
     ------
     MissingAtomValue
-        If f is singular (raises, or returns a non-finite value) at an atom
-        location with no override.
+        If f is singular (returns a non-finite value) at an atom location
+        with no override.
     """
-    out = 0j
-    for loc, mass in m.atoms:
-        override = _lookup_override(atom_values, loc)
-        if override is not None:
-            out += mass * complex(override)
-            continue
-        try:
-            with np.errstate(all="ignore"):
-                fv = complex(f(loc))
-        except ZeroDivisionError:
-            raise MissingAtomValue(f"integrand is singular at atom u={loc}") from None
-        if not np.isfinite(fv.real) or not np.isfinite(fv.imag):
-            raise MissingAtomValue(f"integrand is singular at atom u={loc}")
-        out += mass * fv
-    nodes, weights = _gauss_nodes(m, order)
+    locs, masses = m._atom_arrays()
+    with np.errstate(all="ignore"):
+        fv = _with_overrides(locs, _eval_on(f, locs), atom_values)
+    finite = np.isfinite(fv)
+    if not np.all(finite):
+        raise MissingAtomValue(f"integrand is singular at atom u={float(locs[~finite][0])}")
+    # a running total from 0 in atom order, as a loop over the atoms adds them
+    out = complex(np.cumsum(np.append(0j, masses * fv))[-1])
+    nodes, weights = _gauss_nodes(m, 20)
     if nodes.size:
         with np.errstate(all="ignore"):
             fv = _eval_on(f, nodes)
@@ -280,29 +272,21 @@ def integrate(m: CanonicalMeasure, f, atom_values=None, order=20) -> complex:
 def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
     """Multiply the measure by a non-negative weight function.
 
-    Atom masses are scaled by w(location) (or by the override in
-    ``atom_weights``); each density cell's mass is scaled by the quadrature
-    average of w over the cell, so polynomial weights are handled exactly.
+    w is called on arrays of locations. Atom masses are scaled by
+    w(location) (or by the override in ``atom_weights``); each density
+    cell's mass is scaled by the quadrature average of w over the cell, so
+    polynomial weights are handled exactly.
     Raises InfiniteWeight when the weight is unbounded on a cell carrying
     mass (checked at cell edges, midpoint and nodes) or non-finite at an atom
     with no override.
     """
-    new_atoms = []
-    for loc, mass in m.atoms:
-        override = _lookup_override(atom_weights, loc)
-        if override is not None:
-            wv = float(override)
-        else:
-            try:
-                with np.errstate(all="ignore"):
-                    wv = float(w(loc))
-            except ZeroDivisionError:
-                raise InfiniteWeight(f"weight is unbounded at atom u={loc}") from None
-            if not np.isfinite(wv):
-                raise InfiniteWeight(f"weight is unbounded at atom u={loc}")
-        if wv < 0:
-            raise ValueError(f"weight is negative at atom u={loc}")
-        new_atoms.append((loc, mass * wv))
+    locs, masses = m._atom_arrays()
+    wv = _with_overrides(locs, _real_weight(w, locs), atom_weights)
+    bad = ~np.isfinite(wv)
+    if np.any(bad):
+        raise InfiniteWeight(f"weight is unbounded at atom u={float(locs[bad][0])}")
+    if np.any(wv < 0):
+        raise ValueError(f"weight is negative at atom u={float(locs[wv < 0][0])}")
     new_values = np.zeros_like(m.values)
     keep = m.values > 0
     lefts, rights = m.edges[:-1][keep], m.edges[1:][keep]
@@ -326,7 +310,7 @@ def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
         if not np.all(np.isfinite(new_values)):
             raise InfiniteWeight("reweighted density mass diverges")
     return CanonicalMeasure(
-        atoms=tuple(new_atoms),
+        atoms=tuple(zip(locs, masses * wv)),
         edges=m.edges,
         values=new_values,
         tail_dropped=m.tail_dropped,
@@ -455,7 +439,7 @@ def hermitian_fold(f, t):
 
 
 def fourier_transform(m: CanonicalMeasure, ts):
-    """Integral of exp(i t u) against the measure, per t.
+    """Integral of exp(i t u) against the measure, at t of any shape.
 
     Atoms contribute exactly; each density cell contributes its closed-form
     transform mass * e^{it c} * sin(t w/2)/(t w/2) (c the cell centre, w its
@@ -466,8 +450,8 @@ def fourier_transform(m: CanonicalMeasure, ts):
     with each point's rounding off the exact progression corrected to first
     order; far-out cells thus keep their phase on long grids.
     """
-    scalar = np.isscalar(ts) or np.ndim(ts) == 0
-    tt = np.atleast_1d(np.asarray(ts, dtype=float))
+    shape = np.shape(ts)
+    tt = np.asarray(ts, dtype=float).ravel()
     locs, masses = m._atom_arrays()
     widths = np.diff(m.edges)
     keep = m.values * widths > 0
@@ -498,7 +482,7 @@ def fourier_transform(m: CanonicalMeasure, ts):
         # e^{iu(t - t')} ~ 1 + iu(t - t') for the grid's rounding t - t'
         off = (t - anchor) - j * dt
         out[k] = complex(re - off * cim, im + off * cre)
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 # -- serialization -----------------------------------------------------------

@@ -25,6 +25,9 @@ class BadTimes(ValueError):
 
 # intervals per path in the stream layout; paths are spaced this far apart
 _INTERVALS_PER_PATH = 1 << 20
+# (t x sample) elements empirical_cf exponentiates at a time (one row of t if
+# the samples alone are more); 1 MB of complex, which stays in cache
+_CF_BLOCK = 1 << 16
 
 
 def _counter_words(path_index: int, interval_index: int) -> tuple:
@@ -178,11 +181,11 @@ def empirical_cf(samples, t_grid) -> EmpiricalCF:
         raise ValueError("samples must be non-empty")
     t_grid = np.asarray(t_grid, dtype=float)
     estimates = np.empty(t_grid.size, dtype=complex)
-    for j, t in enumerate(t_grid):
-        if t == 0.0:
-            estimates[j] = 1.0 + 0j
-        else:
-            estimates[j] = np.mean(np.exp(1j * t * samples))
+    rows = max(1, _CF_BLOCK // samples.size)
+    for i in range(0, t_grid.size, rows):
+        estimates[i : i + rows] = np.mean(np.exp(1j * t_grid[i : i + rows, None] * samples), axis=1)
+    # the mean of N ones is N * (1/N), which is not 1 for every N (49 is not)
+    estimates[t_grid == 0.0] = 1.0
     mod = np.abs(estimates)
     over = mod > 1.0
     if np.any(over):  # roundoff only; the mean of unit vectors has modulus <= 1
@@ -345,8 +348,8 @@ def paths_to_csv(paths: Sequence[PathSample]) -> str:
     buf = io.StringIO()
     buf.write("path_id,time,value\n")
     for pid, p in enumerate(paths):
-        for t, v in zip(p.times, p.values):
-            buf.write(f"{pid},{float(t)!r},{float(v)!r}\n")
+        rows = zip(p.times.tolist(), p.values.tolist())
+        buf.write("".join(f"{pid},{t!r},{v!r}\n" for t, v in rows))
     return buf.getvalue()
 
 

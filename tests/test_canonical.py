@@ -31,7 +31,6 @@ from idlaws.canonical import (
     log_cf_kolmogorov,
     log_cf_levy,
     log_cf_lk,
-    log_cf_lk_profile,
     scale_law,
     tail_function_m,
     tail_function_n,
@@ -708,11 +707,11 @@ def test_profile_matches_pointwise() -> None:
     """Grid evaluation path agrees with per-point evaluation."""
     law = catalog("cauchy", 1.0)
     ts = np.linspace(-2.0, 2.0, 21)
-    prof = log_cf_lk_profile(law, ts)
+    prof = log_cf_lk(law, ts)
     spot = np.array([log_cf_lk(law, float(t)) for t in ts])
     assert np.max(np.abs(prof - spot)) < 5e-5
     atom_law = catalog("poisson", 1.5, 1.0)
-    prof2 = log_cf_lk_profile(atom_law, ts)
+    prof2 = log_cf_lk(atom_law, ts)
     spot2 = np.array([log_cf_lk(atom_law, float(t)) for t in ts])
     assert np.max(np.abs(prof2 - spot2)) < 1e-12
 

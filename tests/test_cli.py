@@ -101,6 +101,17 @@ def test_invert_poisson_report(tmp_path, capsys) -> None:
     assert len(doc["k_samples"]["u"]) == len(doc["k_samples"]["k"])
 
 
+def test_invert_insufficient_span_reports_the_span_in_full(tmp_path, capsys) -> None:
+    """At step 0.003 Delta spans 39.998...; to 3 digits that read as 40."""
+    argv = ["invert", "--catalog", "poisson:1,1", "--t-span", "40", "--t-step", "0.003"]
+    code, stdout, _ = run(argv + ["--out", str(tmp_path / "inv.json")], capsys)
+    assert code == 2
+    message = json.loads(stdout)["error"]["message"]
+    span = float(message.split("[0, ")[1].split("]")[0])
+    assert 39.99 < span < 40.0
+    assert not (tmp_path / "inv.json").exists()
+
+
 # -- verify-id ---------------------------------------------------------------------
 
 

@@ -229,6 +229,73 @@ def test_psd_non_finite_probes_rejected(probes) -> None:
         psd_check(g, probes, 1e-8)
 
 
+def log_at_per_t(cf, t) -> complex:
+    """The scalar log_at the array one replaced, kept as its reference."""
+    t = float(t)
+    if t < cf.t_grid[0] or t > cf.t_grid[-1]:
+        raise ProbeOutOfRange(f"t={t} outside grid span [{-cf.t_max}, {cf.t_max}]")
+    re = np.interp(t, cf.t_grid, cf.log_values.real)
+    im = np.interp(t, cf.t_grid, cf.log_values.imag)
+    return complex(re, im)
+
+
+def psd_min_eig_interp(cf, probes) -> float:
+    """psd_check's minimum eigenvalue from its former copy of the interpolation."""
+    probes = np.asarray(probes, dtype=float)
+    diffs = probes[:, None] - probes[None, :]
+    re = np.interp(diffs.ravel(), cf.t_grid, cf.log_values.real)
+    im = np.interp(diffs.ravel(), cf.t_grid, cf.log_values.imag)
+    H = np.exp(re + 1j * im).reshape(diffs.shape)
+    return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
+
+
+def _log_at_grids():
+    # the symmetric laws' log grids hold -0.0 imaginary parts on the t < 0 half
+    return [
+        build_cf_grid(poisson_cf, t_max=6.0, points=1601),
+        build_cf_grid(gaussian_cf, t_max=5.0, points=2001),
+        build_log_cf_grid(lambda t: log_cf_lk(catalog("poisson", 2.0, -1.5), t), 7.0, 777),
+        build_log_cf_grid(lambda t: log_cf_lk(catalog("gaussian", 0.0, 1.0), t), 4.0, 81),
+        build_log_cf_grid(lambda t: log_cf_lk(catalog("cauchy", 1.0), t), 4.0, 81),
+    ]
+
+
+def bits_equal(a: complex, b: complex) -> bool:
+    return np.array_equal(np.array([a]).view(np.uint64), np.array([b]).view(np.uint64))
+
+
+def test_log_at_matches_per_t_reference() -> None:
+    rng = np.random.default_rng(8)
+    for cf in _log_at_grids():
+        t = np.concatenate(
+            [rng.uniform(-cf.t_max, cf.t_max, 500), cf.t_grid[::7], [-0.0, cf.t_grid[0], cf.t_max]]
+        )
+        want = np.array([log_at_per_t(cf, x) for x in t])
+        assert np.array_equal(cf.log_at(t).view(np.uint64), want.view(np.uint64))
+        assert cf.log_at(t.reshape(-1, 1)).shape == (t.size, 1)
+        for x in t[:5]:
+            got = cf.log_at(x)
+            assert type(got) is complex and bits_equal(got, log_at_per_t(cf, x))
+
+
+def test_log_at_rejects_nan_and_points_off_the_span() -> None:
+    cf = build_cf_grid(gaussian_cf, 2.0, 41)
+    for bad in (np.nan, 2.0 + 1e-12, -np.inf, np.array([0.5, np.nan]), [[0.0], [-3.0]]):
+        with pytest.raises(ProbeOutOfRange):
+            cf.log_at(bad)
+    with pytest.raises(ProbeOutOfRange, match="t=nan"):
+        cf.log_at(np.array([1.0, np.nan, 5.0]))
+
+
+def test_psd_check_matches_former_interpolation() -> None:
+    for cf in _log_at_grids():
+        for n in (1, 2, 5):
+            root = nth_root(cf, n)
+            for h in (0.25, 0.5, 1.0 / 3.0):
+                probes = [k * h for k in range(-3, 4)]
+                assert psd_check(root, probes, 1e-8)[1] == psd_min_eig_interp(root, probes)
+
+
 # -- verify_infinitely_divisible ----------------------------------------------------
 
 

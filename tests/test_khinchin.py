@@ -14,7 +14,13 @@ from idlaws.canonical import (
     log_cf_lk,
 )
 from idlaws import khinchin
-from idlaws.divisibility import build_cf_grid, build_log_cf_grid, symmetric_grid
+from idlaws.divisibility import (
+    CharacteristicFunctionGrid,
+    ProbeOutOfRange,
+    build_cf_grid,
+    build_log_cf_grid,
+    symmetric_grid,
+)
 from idlaws.khinchin import (
     BoundViolated,
     GhFamily,
@@ -51,6 +57,7 @@ from idlaws.measure import (
     CanonicalMeasure,
     atom_mass_at,
     cdf,
+    mass_between,
     scale,
     total_mass,
 )
@@ -213,6 +220,77 @@ def test_i_h_poisson_near_log(poisson_grid) -> None:
 def test_i_h_rejects_nonpositive_h(gauss_grid) -> None:
     with pytest.raises(ValueError):
         i_h(gauss_grid, 0.0, 1.0)
+
+
+def test_i_h_rejects_nan(gauss_grid) -> None:
+    for bad in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ProbeOutOfRange):
+            i_h(gauss_grid, 1e-3, bad)
+
+
+def i_h_per_t(cf, h: float, t) -> complex:
+    """The scalar i_h the array one replaced, kept as its reference."""
+    t = float(t)
+    if t == 0.0:
+        return 0j
+    return complex((np.exp(h * cf.log_at(t)) - 1.0) / h)
+
+
+def gl_integral_per_node(f, lo: float, hi: float, order: int = 64) -> float:
+    """The _gl_integral that called f once per node, kept as its reference."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = mid + half * x
+    return float(half * np.sum(w * np.array([f(s) for s in nodes])))
+
+
+def test_i_h_bit_identical_to_per_t_reference(poisson_grid) -> None:
+    for cf in (poisson_grid, build_cf_grid(poisson_cf, t_max=6.0, points=1601)):
+        t = np.concatenate([np.linspace(-cf.t_max, cf.t_max, 301), [0.0, -0.0, 1e-9]])
+        for h in (1e-4, 0.05, 1.0):
+            want = np.array([i_h_per_t(cf, h, x) for x in t])
+            got = i_h(cf, h, t)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert type(i_h(cf, h, 0.7)) is complex and i_h(cf, h, 0.7) == i_h_per_t(cf, h, 0.7)
+
+
+def test_tail_bounds_and_gnedenko_bit_identical_to_per_t_reference(
+    poisson_family, gaussian_family
+) -> None:
+    for fam in (poisson_family, gaussian_family):
+        for h, g in fam.entries:
+            tb = tail_bounds(g, fam.cf, h)
+            bound_a = -i_h_per_t(fam.cf, h, 1.0).real / 0.5
+            bound_b = -gl_integral_per_node(lambda s: i_h_per_t(fam.cf, h, s).real, 0.0, 2.0)
+            assert (tb.bound_a, tb.bound_b) == (bound_a, bound_b)
+            assert type(tb.bound_a) is float and type(tb.bound_b) is float
+        alpha = 1.5
+        sup_tail = 0.0
+        for h, g in fam.entries:
+            inside = mass_between(g, -alpha, alpha, include_lo=False, include_hi=False)
+            tail = total_mass(g) - inside
+            bound = -alpha * gl_integral_per_node(
+                lambda s: i_h_per_t(fam.cf, h, s).real, 0.0, 2.0 / alpha
+            )
+            assert tail - bound <= 1e-8
+            sup_tail = max(sup_tail, tail)
+        assert gnedenko_tail_check(fam, alpha) == sup_tail
+
+
+def test_tail_bounds_read_log_at_twice(poisson_family, monkeypatch) -> None:
+    calls, log_at = [], CharacteristicFunctionGrid.log_at
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return log_at(self, t)
+
+    monkeypatch.setattr(CharacteristicFunctionGrid, "log_at", counted)
+    h, g = poisson_family.entries[0]
+    tail_bounds(g, poisson_family.cf, h)
+    assert calls == [1, 64]
+    calls.clear()
+    gnedenko_tail_check(poisson_family, 2.0)
+    assert calls == [64] * len(poisson_family.entries)
 
 
 # -- tail bounds ------------------------------------------------------------------
@@ -413,6 +491,104 @@ def test_delta_profile_matches_pointwise(poisson_grid) -> None:
     assert ts[0] == -4.0 and ts[-1] == 4.0
     for i in (0, 100, 777, len(ts) // 2, len(ts) - 1):
         assert abs(dv[i] - delta(poisson_grid, float(ts[i]))) < 1e-12
+
+
+def interp_prefix_per_t(cf, s: float) -> complex:
+    """The scalar _interp_prefix the array one replaced, kept as its reference."""
+    prefix = khinchin._log_prefix(cf)
+    t, d, y = cf.t_grid, cf.step, cf.log_values
+    j = int(np.clip(np.floor((s - t[0]) / d), 0, t.size - 2))
+    frac = (s - t[j]) / d
+    j0 = int(np.clip(j, 1, t.size - 3))
+    base = (j0 - 1) - j
+    c0, c1, c2, c3 = khinchin._cubic_coeffs(y[j0 - 1 : j0 + 3])
+
+    def anti(x):
+        xi = x - base
+        return d * (c0 * xi + c1 * xi**2 / 2 + c2 * xi**3 / 3 + c3 * xi**4 / 4)
+
+    return complex(prefix[j] + anti(frac) - anti(0.0))
+
+
+def cubic_log_at_per_t(cf, t: float) -> complex:
+    """The scalar _cubic_log_at the array one replaced, kept as its reference."""
+    tg, y, d = cf.t_grid, cf.log_values, cf.step
+    j = int(np.clip(np.floor((t - tg[0]) / d), 0, tg.size - 2))
+    if t == tg[j]:
+        return complex(y[j])
+    j0 = int(np.clip(j, 1, tg.size - 3))
+    xi = (t - tg[j0 - 1]) / d
+    c0, c1, c2, c3 = khinchin._cubic_coeffs(y[j0 - 1 : j0 + 3])
+    return complex(c0 + xi * (c1 + xi * (c2 + xi * c3)))
+
+
+def delta_per_t(cf, t) -> complex:
+    """The scalar delta the array one replaced, kept as its reference."""
+    t = float(t)
+    if t - 1.0 < cf.t_grid[0] - 1e-12 or t + 1.0 > cf.t_grid[-1] + 1e-12:
+        raise OutOfRange("window exceeds the grid span")
+    window = interp_prefix_per_t(cf, t + 1.0) - interp_prefix_per_t(cf, t - 1.0)
+    return window - 2.0 * cubic_log_at_per_t(cf, t)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values and sign bits, for complex scalars or arrays."""
+    a, b = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# steps 0.0075 and 0.4 (they do not divide 1: delta_profile takes delta) and
+# 1/150 (it does); on the coarse grid the cubic's upper terms reach the last
+# bit, so a power rounded differently shows there
+UNEVEN_GRIDS = {
+    "poisson-1601": (poisson_cf, 6.0, 1601),
+    "poisson-1801": (poisson_cf, 6.0, 1801),
+    "poisson-101": (poisson_cf, 20.0, 101),
+    "skew-1201": (lambda t: np.exp(2.0 * (np.exp(-0.7j * t) - 1.0) - 0.3 * t * t), 5.5, 1201),
+}
+
+
+@pytest.mark.parametrize("name", list(UNEVEN_GRIDS))
+def test_delta_bit_identical_to_per_t_reference(name) -> None:
+    cf = build_cf_grid(*UNEVEN_GRIDS[name])
+    rng = np.random.default_rng(3)
+    lim = cf.t_max - 1.0
+    t = np.concatenate([rng.uniform(-lim, lim, 2000), cf.t_grid[np.abs(cf.t_grid) <= lim][::9]])
+    t = np.concatenate([t, [-lim, lim, 0.0, -0.0]])
+    want = np.array([delta_per_t(cf, x) for x in t])
+    assert same_bits(delta(cf, t), want)
+    assert same_bits(delta(cf, t[:400].reshape(20, 20)), want[:400].reshape(20, 20))
+    for x in t[:20]:
+        got = delta(cf, x)
+        assert type(got) is complex and same_bits(got, delta_per_t(cf, x))
+    ts, dv = delta_profile(cf)
+    if abs(round(1.0 / cf.step) * cf.step - 1.0) >= 1e-9:
+        assert same_bits(dv, [delta_per_t(cf, x) for x in ts])
+    else:
+        assert np.max(np.abs(dv - [delta_per_t(cf, x) for x in ts])) < 1e-12
+
+
+def test_delta_profile_takes_the_prefix_path_on_the_bench_grids(monkeypatch) -> None:
+    """The invert grids of the benchmark: span 80 at step 0.005 and span 40
+    at step 0.01, one unit added on each side as the CLI builds them."""
+
+    def no_delta(cf, t):
+        raise AssertionError("delta_profile left its prefix-sum path")
+
+    monkeypatch.setattr(khinchin, "delta", no_delta)
+    law = catalog("poisson", 1.0, 1.0)
+    for t_max, points in ((81.0, 32401), (41.0, 8201)):
+        cf = build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max=t_max, points=points)
+        ts, _ = delta_profile(cf)
+        assert ts[-1] == pytest.approx(t_max - 1.0)
+
+
+def test_delta_rejects_nan(poisson_grid) -> None:
+    for bad in (np.nan, np.array([0.0, np.nan]), [[1.0, -np.inf]]):
+        with pytest.raises(OutOfRange):
+            delta(poisson_grid, bad)
+    with pytest.raises(OutOfRange, match="nan"):
+        delta(poisson_grid, np.array([0.5, np.nan]))
 
 
 def test_delta_conjugate_symmetry(poisson_grid) -> None:
@@ -628,6 +804,18 @@ def test_invert_gaussian_origin_atom(gaussian_inversion) -> None:
     assert loc == 0.0
     assert abs(mass - 1.0) < 2e-3
     assert abs(inv.drift) < 1e-3
+
+
+def test_invert_cf_reads_log_at_once(poisson_grid, monkeypatch) -> None:
+    calls, log_at = [], CharacteristicFunctionGrid.log_at
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return log_at(self, t)
+
+    monkeypatch.setattr(CharacteristicFunctionGrid, "log_at", counted)
+    invert_cf(build_cf_grid(poisson_cf, t_max=41.0, points=8201))
+    assert calls == [101]
 
 
 def test_invert_two_atom_compound_poisson() -> None:

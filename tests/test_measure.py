@@ -1,6 +1,7 @@
 """Unit tests for the bounded-measure representation and its quadrature."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -238,6 +239,138 @@ def test_reweight_rejects_complex_weight() -> None:
     # a complex type with zero imaginary part is a real weight
     same = reweight(m, lambda u: (u * u) + 0j)
     assert np.array_equal(same.values, reweight(m, lambda u: u * u).values)
+
+
+def test_reweight_rejects_complex_weight_on_atoms() -> None:
+    m = CanonicalMeasure.from_atoms([(1.0, 0.5), (2.0, 0.25)])
+    with pytest.raises(ValueError, match="real-valued"):
+        reweight(m, lambda u: u + 1j * u)
+    assert reweight(m, lambda u: (u * u) + 0j).atoms == reweight(m, lambda u: u * u).atoms
+
+
+def lookup_override(overrides, loc):
+    if overrides is None:
+        return None
+    if loc in overrides:
+        return overrides[loc]
+    for key, val in overrides.items():
+        if abs(key - loc) <= measure.ATOM_LOCATION_TOL:
+            return val
+    return None
+
+
+def integrate_per_atom(m, f, atom_values=None) -> complex:
+    """The per-atom integrate loop the array call of f replaced, kept as its
+    reference; the density part is integrate's own."""
+    out = 0j
+    for loc, mass in m.atoms:
+        override = lookup_override(atom_values, loc)
+        if override is not None:
+            out += mass * complex(override)
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                fv = complex(f(loc))
+        except ZeroDivisionError:
+            raise MissingAtomValue(f"integrand is singular at atom u={loc}") from None
+        if not np.isfinite(fv.real) or not np.isfinite(fv.imag):
+            raise MissingAtomValue(f"integrand is singular at atom u={loc}")
+        out += mass * fv
+    density = CanonicalMeasure(edges=m.edges, values=m.values)
+    return out + integrate(density, f) if m.values.size else out
+
+
+def reweight_atoms_per_atom(m, w, atom_weights=None) -> tuple:
+    """The per-atom reweight loop the array call of w replaced, kept as its
+    reference: the reweighted atoms."""
+    new_atoms = []
+    for loc, mass in m.atoms:
+        override = lookup_override(atom_weights, loc)
+        if override is not None:
+            wv = float(override)
+        else:
+            try:
+                with np.errstate(all="ignore"):
+                    wv = float(w(loc))
+            except ZeroDivisionError:
+                raise InfiniteWeight(f"weight is unbounded at atom u={loc}") from None
+            if not np.isfinite(wv):
+                raise InfiniteWeight(f"weight is unbounded at atom u={loc}")
+        if wv < 0:
+            raise ValueError(f"weight is negative at atom u={loc}")
+        new_atoms.append((loc, mass * wv))
+    return CanonicalMeasure.from_atoms(new_atoms).atoms
+
+
+def bits(z) -> tuple:
+    """The real and imaginary parts of a complex as their IEEE bit patterns."""
+    return tuple(np.array([z.real, z.imag]).view(np.uint64).tolist())
+
+
+def _atom_measures():
+    rng = np.random.default_rng(17)
+    locs = np.sort(rng.uniform(-40.0, 40.0, 300))
+    poisson_root = [(k * 1.0, 0.5**k / math.factorial(k)) for k in range(40)]
+    return [
+        CanonicalMeasure.from_atoms(zip(locs, rng.exponential(1.0, locs.size))),
+        CanonicalMeasure.from_atoms(poisson_root),
+        CanonicalMeasure.from_atoms([(-2.0, 0.2), (-1e-9, 1e-30), (0.0, 1.0), (3.0, 0.7)]),
+        CanonicalMeasure(
+            atoms=((-3.0, 0.3), (0.0, 0.5), (0.25, 2.0)), edges=[-1.0, 0.0, 1.0], values=[0.3, 0.8]
+        ),
+    ]
+
+
+# the real integrands and weights the package passes, with their overrides
+PACKAGE_INTEGRANDS = [
+    (lambda u: u, None),
+    (lambda u: 1.0 / u, {0.0: 0.0}),
+    (lambda u: u / (1.0 + u * u), None),
+]
+PACKAGE_WEIGHTS = [
+    (lambda u: 1.0 + u * u, None),
+    (lambda u: 1.0 / (1.0 + u * u), None),
+    (lambda u: (u * u) / (1.0 + u * u), {0.0: 0.0}),
+]
+
+
+@pytest.mark.parametrize("k", range(len(PACKAGE_INTEGRANDS)))
+def test_integrate_atoms_bit_identical_to_per_atom_loop(k) -> None:
+    f, overrides = PACKAGE_INTEGRANDS[k]
+    for m in _atom_measures():
+        got, want = integrate(m, f, atom_values=overrides), integrate_per_atom(m, f, overrides)
+        assert bits(got) == bits(want)
+
+
+def test_integrate_complex_atoms_match_per_atom_loop() -> None:
+    for m in _atom_measures():
+        for t in (0.3, -1.7, 12.0):
+            f = lambda u: np.exp(1j * t * u)
+            got, want = integrate(m, f), integrate_per_atom(m, f)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+    # overrides match within ATOM_LOCATION_TOL; an exact key and a near one
+    m = CanonicalMeasure.from_atoms([(0.0, 1.0), (1.0, 2.0)])
+    f = lambda u: 1.0 / u
+    for overrides in ({0.0: 3.0 - 1j}, {5e-13: 4.0}, {1.0: 0.5, 0.0: 2.0}):
+        assert integrate(m, f, overrides) == integrate_per_atom(m, f, overrides)
+    with pytest.raises(MissingAtomValue, match="u=0.0"):
+        integrate(m, f, {2e-12: 1.0})
+
+
+@pytest.mark.parametrize("k", range(len(PACKAGE_WEIGHTS)))
+def test_reweight_atoms_bit_identical_to_per_atom_loop(k) -> None:
+    w, overrides = PACKAGE_WEIGHTS[k]
+    for m in _atom_measures():
+        want = reweight_atoms_per_atom(m, w, overrides)
+        assert reweight(m, w, atom_weights=overrides).atoms == want
+
+
+def test_reweight_atom_errors_name_the_atom() -> None:
+    m = CanonicalMeasure.from_atoms([(-1.0, 0.5), (0.0, 1.0), (2.0, 0.5)])
+    with pytest.raises(InfiniteWeight, match="u=0.0"):
+        reweight(m, lambda u: 1.0 / (u * u))
+    with pytest.raises(ValueError, match="negative at atom u=-1.0"):
+        reweight(m, lambda u: u)
 
 
 # -- construction validation ----------------------------------------------------

@@ -290,6 +290,46 @@ def test_empirical_cf_rejects_empty() -> None:
         empirical_cf(np.array([]), np.array([0.0]))
 
 
+def empirical_cf_per_t(samples, t_grid) -> np.ndarray:
+    """The per-t loop empirical_cf replaced, kept as its reference (estimates
+    before the modulus clip)."""
+    estimates = np.empty(t_grid.size, dtype=complex)
+    for j, t in enumerate(t_grid):
+        if t == 0.0:
+            estimates[j] = 1.0 + 0j
+        else:
+            estimates[j] = np.mean(np.exp(1j * t * samples))
+    mod = np.abs(estimates)
+    estimates[mod > 1.0] /= mod[mod > 1.0]
+    return estimates
+
+
+@pytest.mark.parametrize("n", [1, 2, 49, 4097, 100_000])
+def test_empirical_cf_matches_per_t_reference(n) -> None:
+    rng = np.random.default_rng(n)
+    t = np.concatenate([np.linspace(-5.0, 5.0, 21), [-0.0, 1e-300, 40.0]])
+    for samples in (rng.standard_cauchy(n), -np.abs(rng.normal(size=n))):
+        got = empirical_cf(samples, t).estimates
+        want = empirical_cf_per_t(samples, t)
+        # bits, sign bits included: the CSV writes repr, where -0.0 is not 0.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_empirical_cf_exponentiates_bounded_blocks(monkeypatch) -> None:
+    sizes, exp = [], np.exp
+
+    def sized_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", sized_exp)
+    empirical_cf(np.linspace(-1.0, 1.0, 5000), np.linspace(-5.0, 5.0, 201))
+    assert sum(sizes) == 5000 * 201 and max(sizes) <= simulate._CF_BLOCK
+    sizes.clear()
+    empirical_cf(np.linspace(-1.0, 1.0, 70_000), np.linspace(-1.0, 1.0, 3))
+    assert sizes == [70_000] * 3
+
+
 # -- scaling and triangular-array checks ----------------------------------------------
 
 
@@ -377,6 +417,24 @@ def test_paths_to_csv_layout() -> None:
     assert lines[0] == "path_id,time,value"
     assert lines[1] == "0,0.0,0.0"
     assert lines[4] == "1,1.0,0.5"
+
+
+def paths_to_csv_rows(paths) -> str:
+    """The writer paths_to_csv replaced, float() on each numpy scalar, kept as
+    its reference."""
+    out = "path_id,time,value\n"
+    for pid, p in enumerate(paths):
+        for t, v in zip(p.times, p.values):
+            out += f"{pid},{float(t)!r},{float(v)!r}\n"
+    return out
+
+
+def test_paths_to_csv_matches_row_by_row_reference() -> None:
+    spec = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=3.5, seed=4)
+    times = np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5])
+    paths = [sample_path(spec, times, path_index=p) for p in range(20)]
+    paths.append(PathSample(times=np.array([0.0, 1e-300]), values=np.array([-0.0, -1e300])))
+    assert paths_to_csv(paths) == paths_to_csv_rows(paths)
 
 
 def test_empirical_cf_to_csv_layout() -> None:
