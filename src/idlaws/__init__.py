@@ -32,8 +32,6 @@ from .canonical import (
     lk_to_levy,
     levy_to_lk,
     log_cf,
-    log_cf_kolmogorov,
-    log_cf_levy,
     log_cf_lk,
     scale_law,
 )
@@ -48,7 +46,6 @@ from .divisibility import (
     nth_root,
     psd_check,
     symmetric_grid,
-    triangular_row,
     verify_infinitely_divisible,
 )
 from .khinchin import (
@@ -83,7 +80,6 @@ from .simulate import (
     empirical_cf,
     empirical_cf_to_csv,
     paths_to_csv,
-    sample_increment,
     sample_increments,
     sample_path,
     scaling_check,

@@ -42,7 +42,7 @@ class BadParameter(ValueError):
     """A catalog law was requested with out-of-range parameters."""
 
 
-DEFAULT_VARIANCE_BOUND = 1e12
+VARIANCE_BOUND = 1e12
 
 # (exp(ix) - 1 - ix)/x**2 = sum of i**k x**(k-2) / k! for k = 2..17, split into
 # real (k even) and imaginary (k odd, over x) power series in x**2
@@ -323,16 +323,6 @@ def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
     return out
 
 
-def log_cf_kolmogorov(law: KolmogorovPair, t):
-    """log CF under the finite-variance form, through the general form."""
-    return log_cf_lk(kolmogorov_to_lk(law), t)
-
-
-def log_cf_levy(law: LevyTriplet, t):
-    """log CF under the drift + variance + two-jump-measures form."""
-    return log_cf_lk(levy_to_lk(law), t)
-
-
 def log_cf(law, t):
     """Evaluate the log CF of a law in whichever canonical form it carries."""
     return log_cf_lk(law_to_lk(law), t)
@@ -341,7 +331,7 @@ def log_cf(law, t):
 # -- conversions ---------------------------------------------------------------
 
 
-def _second_moment_guard(G: CanonicalMeasure, K: CanonicalMeasure, bound: float):
+def _second_moment_guard(G: CanonicalMeasure, K: CanonicalMeasure):
     """Reject conversions whose reweighted mass is unbounded or non-convergent.
 
     A truncated grid (tail_dropped > 0) whose outermost decade still carries
@@ -350,9 +340,9 @@ def _second_moment_guard(G: CanonicalMeasure, K: CanonicalMeasure, bound: float)
     limit.
     """
     tm = total_mass(K)
-    if tm > bound:
+    if tm > VARIANCE_BOUND:
         raise InfiniteVariance(
-            f"second-moment mass {tm:.3e} exceeds the configured bound {bound:.1e}"
+            f"second-moment mass {tm:.3e} exceeds the bound {VARIANCE_BOUND:.1e}"
         )
     if G.tail_dropped > 0 and K.values.size:
         span = max(abs(float(K.edges[0])), abs(float(K.edges[-1])))
@@ -364,12 +354,10 @@ def _second_moment_guard(G: CanonicalMeasure, K: CanonicalMeasure, bound: float)
             )
 
 
-def lk_to_kolmogorov(
-    law: LevyKhintchinePair, mass_bound: float = DEFAULT_VARIANCE_BOUND
-) -> KolmogorovPair:
+def lk_to_kolmogorov(law: LevyKhintchinePair) -> KolmogorovPair:
     """Reweight G by 1 + u^2; requires a finite second moment."""
     K = reweight(law.G, lambda u: 1.0 + u * u)
-    _second_moment_guard(law.G, K, mass_bound)
+    _second_moment_guard(law.G, K)
     gammaK = law.gamma + integrate(law.G, lambda u: u).real
     return KolmogorovPair(gammaK=gammaK, K=K)
 
@@ -429,7 +417,7 @@ def cf_compound_poisson(spec: CompoundPoissonSpec, t):
 def compound_poisson_to_lk(spec: CompoundPoissonSpec) -> LevyKhintchinePair:
     """The general-form parameters of a compound Poisson law (exact for atoms)."""
     G = scale(
-        reweight(spec.jump, lambda u: (u * u) / (1.0 + u * u), atom_weights={0.0: 0.0}),
+        reweight(spec.jump, lambda u: (u * u) / (1.0 + u * u)),
         spec.rate,
     )
     gamma = spec.rate * integrate(spec.jump, lambda u: u / (1.0 + u * u)).real

@@ -168,12 +168,10 @@ def _run_invert(args) -> int:
 def _run_verify_id(args) -> int:
     law = _resolve_law(args)
     roots = tuple(int(n) for n in args.roots.split(","))
-    report = verify_infinitely_divisible(
-        lambda t: np.exp(log_cf_lk(law, t)),
-        roots_to_check=roots,
-        t_max=args.t_max,
-        points=args.points,
-    )
+    # sampled as a log CF: exp(log phi) underflows to 0 (a Gaussian beyond
+    # |t| ~ 38), which an unwrapped CF grid would read as a zero
+    cf = build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max=args.t_max, points=args.points)
+    report = verify_infinitely_divisible(cf, roots_to_check=roots)
     config = {
         **_law_config(args),
         "roots": list(roots),

@@ -10,7 +10,7 @@ probe sets; a zero crossing or a negative Gram eigenvalue is a refutation.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -216,18 +216,6 @@ def nth_root(cf: CharacteristicFunctionGrid, n: int) -> CharacteristicFunctionGr
     )
 
 
-@dataclass(frozen=True)
-class TriangularArrayRow:
-    """Row of n i.i.d. components whose sum reproduces the parent law."""
-
-    n: int
-    component_cf: CharacteristicFunctionGrid
-
-
-def triangular_row(cf: CharacteristicFunctionGrid, n: int) -> TriangularArrayRow:
-    return TriangularArrayRow(n=n, component_cf=nth_root(cf, n))
-
-
 def psd_check(
     cf: CharacteristicFunctionGrid,
     probe_points: Sequence[float],
@@ -261,6 +249,7 @@ DEFAULT_ROOTS = (2, 3, 5)
 DEFAULT_PROBE_SETS = tuple(
     tuple(k * h for k in range(-3, 4)) for h in (0.5, 1.0, 2.0)
 )
+PSD_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -282,8 +271,6 @@ class DivisibilityReport:
 def verify_infinitely_divisible(
     cf,
     roots_to_check: Sequence[int] = DEFAULT_ROOTS,
-    probe_sets: Optional[Sequence[Sequence[float]]] = None,
-    tolerance: float = 1e-8,
     t_max: float = 10.0,
     points: int = 401,
 ) -> DivisibilityReport:
@@ -292,7 +279,7 @@ def verify_infinitely_divisible(
     Accepts either a prepared CharacteristicFunctionGrid or a plain evaluator
     of a t array (a grid is then built on [-t_max, t_max] by build_cf_grid). FAIL reasons are a
     zero crossing of the CF or a probe set on which some n-th root's Gram
-    matrix has an eigenvalue below -tolerance.
+    matrix has an eigenvalue below -PSD_TOLERANCE.
     """
     if callable(cf):
         try:
@@ -304,17 +291,16 @@ def verify_infinitely_divisible(
                 zero_location=exc.witness,
                 roots_checked=tuple(roots_to_check),
             )
-    if probe_sets is None:
-        span = cf.t_max
-        # largest pairwise probe difference is 2*max(ps); keep it on the grid
-        probe_sets = tuple(
-            ps for ps in DEFAULT_PROBE_SETS if 2.0 * max(ps) <= span
-        ) or (tuple(k * span / 6.0 for k in range(-3, 4)),)
+    span = cf.t_max
+    # largest pairwise probe difference is 2*max(ps); keep it on the grid
+    probe_sets = tuple(
+        ps for ps in DEFAULT_PROBE_SETS if 2.0 * max(ps) <= span
+    ) or (tuple(k * span / 6.0 for k in range(-3, 4)),)
     failures = []
     for n in roots_to_check:
         root = nth_root(cf, n)
         for ps in probe_sets:
-            ok, min_eig = psd_check(root, ps, tolerance)
+            ok, min_eig = psd_check(root, ps, PSD_TOLERANCE)
             if not ok:
                 failures.append((n, tuple(ps), min_eig))
     if failures:

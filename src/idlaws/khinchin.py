@@ -23,22 +23,17 @@ test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import (
-    CompoundPoissonSpec,
-    LevyKhintchinePair,
-    exp_remainder2,
-    jump_intensity,
-    log_cf_lk,
-)
+from .canonical import LevyKhintchinePair, jump_intensity, log_cf_lk
 from .divisibility import CharacteristicFunctionGrid, build_cf_grid, symmetric_grid
 from .measure import (
     CanonicalMeasure,
     atom_mass_at,
+    cdf,
     combine,
     fourier_transform,
     hermitian_fold,
@@ -47,6 +42,7 @@ from .measure import (
     restrict,
     reweight,
     scale,
+    to_json_dict,
     total_mass,
 )
 
@@ -112,9 +108,7 @@ def g_h_from_root(root_distribution: CanonicalMeasure, h: float) -> CanonicalMea
         raise ValueError("h must be positive")
     if abs(total_mass(root_distribution) - 1.0) > 1e-9:
         raise ValueError("root distribution must have total mass 1")
-    weighted = reweight(
-        root_distribution, lambda v: (v * v) / (1.0 + v * v), atom_weights={0.0: 0.0}
-    )
+    weighted = reweight(root_distribution, lambda v: (v * v) / (1.0 + v * v))
     return scale(weighted, 1.0 / h)
 
 
@@ -162,10 +156,10 @@ def poisson_root_distribution(h: float, rate: float = 1.0, jump: float = 1.0) ->
     return CanonicalMeasure.from_atoms(atoms)
 
 
-def gaussian_root_distribution(h: float, sigma2: float = 1.0, cells: int = 800) -> CanonicalMeasure:
-    """The h-th convolution root of a Gaussian: Normal(0, h*sigma2) on a grid."""
+def gaussian_root_distribution(h: float, sigma2: float = 1.0) -> CanonicalMeasure:
+    """The h-th convolution root of a Gaussian: Normal(0, h*sigma2) on 800 cells."""
     sd = math.sqrt(h * sigma2)
-    edges = np.linspace(-8.0 * sd, 8.0 * sd, cells + 1)
+    edges = np.linspace(-8.0 * sd, 8.0 * sd, 801)
     # the normal cdf as erfc, which keeps the ~1e-15 lower tail that 1 + erf loses
     cdf_vals = np.array([0.5 * math.erfc(-x / (sd * math.sqrt(2.0))) for x in edges])
     masses = np.diff(cdf_vals)
@@ -206,9 +200,9 @@ def i_h(cf: CharacteristicFunctionGrid, h: float, t):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def _gl_integral(f, lo: float, hi: float, order: int = 64) -> float:
-    """Gauss-Legendre integral of f over [lo, hi], f called once on the nodes."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gl_integral(f, lo: float, hi: float) -> float:
+    """64-node Gauss-Legendre integral of f over [lo, hi], f called once on the nodes."""
+    x, w = np.polynomial.legendre.leggauss(64)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return float(half * np.sum(w * f(mid + half * x)))
 
@@ -216,8 +210,8 @@ def _gl_integral(f, lo: float, hi: float, order: int = 64) -> float:
 # the (A.3) constant: min over |u| <= 1 of (1 - cos u)(1+u^2)/u^2. The
 # function rises from 1/2 at u=0 to about 0.9194 at |u|=1, so the minimum is
 # the removable value 1/2 at the origin; a grid scan pins it numerically.
-def small_u_cosine_constant(points: int = 20001) -> float:
-    u = np.linspace(-1.0, 1.0, points)
+def small_u_cosine_constant() -> float:
+    u = np.linspace(-1.0, 1.0, 20001)
     vals = 2.0 * _half_versine_weight(u)
     return float(np.min(vals))
 
@@ -232,6 +226,10 @@ def _half_versine_weight(u):
     return s * s * (1.0 + u * u)
 
 
+# the quadrature slack a tail inequality may fail by
+BOUND_TOLERANCE = 1e-8
+
+
 @dataclass(frozen=True)
 class TailBounds:
     a_h: float
@@ -244,18 +242,13 @@ class TailBounds:
     slack_b: float
 
 
-def tail_bounds(
-    G_h: CanonicalMeasure,
-    cf: CharacteristicFunctionGrid,
-    h: float,
-    tolerance: float = 1e-8,
-) -> TailBounds:
+def tail_bounds(G_h: CanonicalMeasure, cf: CharacteristicFunctionGrid, h: float) -> TailBounds:
     """Split G_h's mass at |u| = 1 and certify both masses against I_h bounds.
 
     a_h (mass on |u| <= 1) is bounded by -Re I_h(1)/c with c the small-u
     cosine constant; b_h (mass on |u| > 1) is bounded by the integral of
     -Re I_h over [0, 2]. Raises BoundViolated when an inequality fails by
-    more than the tolerance: the family cannot have come from h-th roots of
+    more than BOUND_TOLERANCE: the family cannot have come from h-th roots of
     a fixed CF.
     """
     a_h = mass_between(G_h, -1.0, 1.0)
@@ -265,11 +258,11 @@ def tail_bounds(
     bound_b = -_gl_integral(lambda s: i_h(cf, h, s).real, 0.0, 2.0)
     slack_a = bound_a - a_h
     slack_b = bound_b - b_h
-    if slack_a < -tolerance:
+    if slack_a < -BOUND_TOLERANCE:
         raise BoundViolated(
             f"small-u mass {a_h:.6g} exceeds its bound {bound_a:.6g} at h={h}"
         )
-    if slack_b < -tolerance:
+    if slack_b < -BOUND_TOLERANCE:
         raise BoundViolated(
             f"tail mass {b_h:.6g} exceeds its bound {bound_b:.6g} at h={h}"
         )
@@ -285,9 +278,7 @@ def tail_bounds(
     )
 
 
-def gnedenko_tail_check(
-    family: GhFamily, alpha: float, tolerance: float = 1e-8
-) -> float:
+def gnedenko_tail_check(family: GhFamily, alpha: float) -> float:
     """sup over h of mass(|u| >= alpha), certified uniformly in h.
 
     Each entry's tail mass must obey
@@ -309,7 +300,7 @@ def gnedenko_tail_check(
         bound = -alpha * _gl_integral(
             lambda s: i_h(family.cf, h, s).real, 0.0, 2.0 / alpha
         )
-        if tail - bound > tolerance:
+        if tail - bound > BOUND_TOLERANCE:
             raise BoundViolated(
                 f"tail mass {tail:.6g} at |u|>={alpha} exceeds bound {bound:.6g} (h={h})"
             )
@@ -349,13 +340,15 @@ def _mass_centroid(g: CanonicalMeasure, lo: float, hi: float) -> Optional[float]
     return float(integrate(piece, lambda u: u).real / piece_mass)
 
 
-def extract_limit(
-    family: GhFamily,
-    u_grid,
-    convergence_threshold: float = 1e-3,
-    jump_factor: float = 5.0,
-    atom_floor: float = 1e-4,
-):
+# extract_limit: sweeps agree within SWEEP_THRESHOLD; atoms carry more than
+# LIMIT_ATOM_FLOOR. Both recoveries read an increment above JUMP_FACTOR times
+# the median one as a jump.
+SWEEP_THRESHOLD = 1e-3
+LIMIT_ATOM_FLOOR = 1e-4
+JUMP_FACTOR = 5.0
+
+
+def extract_limit(family: GhFamily, u_grid):
     """Limit of the G_h cdfs as h shrinks, returned as (measure, drift).
 
     The cdf of each G_h is sampled on u_grid and consecutive entries are
@@ -365,15 +358,13 @@ def extract_limit(
     pointwise (the transition zone narrows with h), but the mass between the
     surrounding agreement points must settle. Each such run becomes an atom
     at the centroid of the finest entry's mass there; isolated oversized
-    increments (jump_factor times the typical cell) become atoms too, and
+    increments (JUMP_FACTOR times the typical cell) become atoms too, and
     the rest is density. The drift is the extrapolated limit of
     integral dG_h(u)/u.
 
     Raises NoConvergence when a disagreement run reaches the edge of u_grid
-    or its mass differs between sweeps beyond the threshold.
+    or its mass differs between sweeps beyond SWEEP_THRESHOLD.
     """
-    from .measure import cdf as measure_cdf
-
     if len(family.entries) < 3:
         raise ValueError("need at least 3 family entries to extrapolate")
     u_grid = np.asarray(u_grid, dtype=float)
@@ -381,7 +372,7 @@ def extract_limit(
         raise ValueError("u_grid must be 1-d strictly increasing")
 
     hs = [h for h, _ in family.entries]
-    sweeps = [measure_cdf(g, u_grid) for _, g in family.entries]
+    sweeps = [cdf(g, u_grid) for _, g in family.entries]
     extrapolated = [
         _richardson(hs[i - 1], sweeps[i - 1], hs[i], sweeps[i])
         for i in range(1, len(sweeps))
@@ -389,7 +380,7 @@ def extract_limit(
     forced_runs = []
     for idx in range(1, len(extrapolated)):
         prev, cur = extrapolated[idx - 1], extrapolated[idx]
-        bad = np.abs(cur - prev) > convergence_threshold
+        bad = np.abs(cur - prev) > SWEEP_THRESHOLD
         for i0, i1 in _bool_runs(bad):
             if i0 == 0 or i1 == u_grid.size - 1:
                 raise NoConvergence(
@@ -398,11 +389,10 @@ def extract_limit(
                 )
             a, b = i0 - 1, i1 + 1
             moved = abs((cur[b] - cur[a]) - (prev[b] - prev[a]))
-            if moved > convergence_threshold:
+            if moved > SWEEP_THRESHOLD:
                 raise NoConvergence(
                     f"mass on ({u_grid[a]:.4g}, {u_grid[b]:.4g}] differs by "
-                    f"{moved:.3e} between sweeps (threshold "
-                    f"{convergence_threshold:.0e})"
+                    f"{moved:.3e} between sweeps (threshold {SWEEP_THRESHOLD:.0e})"
                 )
             if idx == len(extrapolated) - 1:
                 forced_runs.append((a, b))
@@ -424,14 +414,14 @@ def extract_limit(
         in_forced[a:b] = True
     outside = increments[~in_forced]
     med = _median(outside)
-    is_jump = ~in_forced & (increments > max(jump_factor * med, atom_floor))
+    is_jump = ~in_forced & (increments > max(JUMP_FACTOR * med, LIMIT_ATOM_FLOOR))
 
     h_min, g_min = family.entries[-1]
     atoms: dict = {}
 
     def add_atom(lo_idx: int, hi_idx: int, mass: float):
         # place at the finest sweep's centre of mass across the window
-        if mass <= atom_floor:
+        if mass <= LIMIT_ATOM_FLOOR:
             return
         loc = _mass_centroid(g_min, u_grid[lo_idx], u_grid[hi_idx])
         if loc is None:
@@ -627,6 +617,14 @@ def _chirp_z(a: np.ndarray, t0: float, h: float, u0: float, du: float, m: int) -
     return np.exp(1j * ((u0 + du * j) * t0 + half_alpha * j * j)) * conv
 
 
+def _check_conjugate_symmetric(delta_values: np.ndarray) -> None:
+    """Raise ValueError unless Delta(-t) = conj Delta(t) on the mirrored grid,
+    to 1e-9 relative to max(1, max |Delta|)."""
+    sym = delta_values[::-1].conj()
+    if np.max(np.abs(sym - delta_values)) > 1e-9 * max(1.0, float(np.max(np.abs(delta_values)))):
+        raise ValueError("Delta values violate conjugate symmetry")
+
+
 def k_from_delta(
     delta_ts: np.ndarray,
     delta_values: np.ndarray,
@@ -658,11 +656,7 @@ def k_from_delta(
     h = _even_step(delta_ts)
     if h is None or h <= 0.0:
         raise ValueError("delta_ts must be increasing and evenly spaced")
-    sym = delta_values[::-1].conj()
-    if np.max(np.abs(sym - delta_values)) > 1e-9 * max(
-        1.0, float(np.max(np.abs(delta_values)))
-    ):
-        raise ValueError("Delta values violate conjugate symmetry")
+    _check_conjugate_symmetric(delta_values)
     pos = delta_ts >= 0.0
     ts = delta_ts[pos]
     dw = delta_values[pos] * _taper_window(ts, t_span) * _simpson_weights(ts.size, h)
@@ -696,16 +690,16 @@ def _window_mean(u_grid, k_values, center: float, halfwidth: float) -> float:
     return area / (hi - lo)
 
 
-def g_from_k(
-    k_values,
-    u_grid,
-    sign_tolerance: Optional[float] = None,
-    jump_factor: float = 5.0,
-    atom_floor: float = 1e-3,
-    readout_offset: float = 0.35,
-    readout_halfwidth: float = 0.1,
-    guard_band: float = 0.05,
-) -> CanonicalMeasure:
+# g_from_k reads a step READOUT_OFFSET to each side of a jump, as the mean of
+# K over a window of half-width READOUT_HALFWIDTH; a jump within GUARD_BAND of
+# u = 0 is the origin atom, and atoms carry more than K_ATOM_FLOOR
+READOUT_OFFSET = 0.35
+READOUT_HALFWIDTH = 0.1
+GUARD_BAND = 0.05
+K_ATOM_FLOOR = 1e-3
+
+
+def g_from_k(k_values, u_grid) -> CanonicalMeasure:
     """Divide the non-increasing K by the forward kernel to recover G.
 
     Steps of K become atoms: the step size is the difference of windowed K
@@ -718,16 +712,15 @@ def g_from_k(
     density cells via dG = dK / (-2 w(u)). A jump located inside the guard
     band around u = 0 is the origin atom (kernel weight limit 1/6).
 
-    Raises SignViolation if K rises anywhere by more than sign_tolerance
-    (default: 5% of K's range, floored at 1e-3, which admits truncation
-    ringing but not a genuinely increasing stretch).
+    Raises SignViolation if K rises anywhere by more than 5% of K's range,
+    floored at 1e-3, which admits truncation ringing but not a genuinely
+    increasing stretch.
     """
     k_values = np.asarray(k_values, dtype=float)
     u_grid = np.asarray(u_grid, dtype=float)
     if k_values.shape != u_grid.shape or u_grid.ndim != 1:
         raise ValueError("k_values and u_grid must be matching 1-d arrays")
-    if sign_tolerance is None:
-        sign_tolerance = max(1e-3, 0.05 * float(np.ptp(k_values)))
+    sign_tolerance = max(1e-3, 0.05 * float(np.ptp(k_values)))
     rises = np.diff(k_values)
     worst_rise = float(np.max(rises)) if rises.size else 0.0
     if worst_rise > sign_tolerance:
@@ -740,7 +733,7 @@ def g_from_k(
     drops = np.where(-np.diff(k_values) > 0, -np.diff(k_values), 0.0)
     widths = np.diff(u_grid)
     med = _median(drops)
-    is_jump = drops > max(jump_factor * med, atom_floor * 1e-3)
+    is_jump = drops > max(JUMP_FACTOR * med, K_ATOM_FLOOR * 1e-3)
 
     centers = 0.5 * (u_grid[:-1] + u_grid[1:])
     atoms: dict = {}
@@ -760,21 +753,17 @@ def g_from_k(
                 shift = 0.5 * (d0 - d2) / denom
                 loc += float(np.clip(shift, -1.0, 1.0)) * widths[peak]
         # read the step clear of the ringing on both sides
-        left = _window_mean(
-            u_grid, k_values, u_grid[j] - readout_offset, readout_halfwidth
-        )
-        right = _window_mean(
-            u_grid, k_values, u_grid[k + 1] + readout_offset, readout_halfwidth
-        )
+        left = _window_mean(u_grid, k_values, u_grid[j] - READOUT_OFFSET, READOUT_HALFWIDTH)
+        right = _window_mean(u_grid, k_values, u_grid[k + 1] + READOUT_OFFSET, READOUT_HALFWIDTH)
         step = right - left
-        if abs(loc) < guard_band:
+        if abs(loc) < GUARD_BAND:
             loc = 0.0
         weight = float(delta_kernel_weight(loc))
         mass = step / (-2.0 * weight)
-        lo_u = u_grid[j] - readout_offset - readout_halfwidth
-        hi_u = u_grid[k + 1] + readout_offset + readout_halfwidth
+        lo_u = u_grid[j] - READOUT_OFFSET - READOUT_HALFWIDTH
+        hi_u = u_grid[k + 1] + READOUT_OFFSET + READOUT_HALFWIDTH
         consumed |= (centers >= lo_u) & (centers <= hi_u)
-        if mass > atom_floor:
+        if mass > K_ATOM_FLOOR:
             atoms[loc] = atoms.get(loc, 0.0) + mass
 
     # dG = -dK / (2 w); the kernel weight is strictly positive
@@ -789,16 +778,13 @@ def g_from_k(
 class InversionIntermediates:
     """Everything the Delta/K route produces on the way to G.
 
-    k_measure records -dK (a nonnegative step/density measure; K itself is
-    non-increasing) with the global sign kept in k_sign: K's increments are
-    k_sign times the measure's.
+    K is non-increasing: k_sign records the sign of its increments.
     """
 
     delta_ts: np.ndarray
     delta_values: np.ndarray
     u_grid: np.ndarray
     k_values: np.ndarray
-    k_measure: CanonicalMeasure
     taper_span: float
     recovered: CanonicalMeasure
     drift: float
@@ -806,11 +792,7 @@ class InversionIntermediates:
     k_sign: int = -1
 
     def __post_init__(self):
-        sym = np.asarray(self.delta_values)[::-1].conj()
-        if np.max(np.abs(sym - self.delta_values)) > 1e-9 * max(
-            1.0, float(np.max(np.abs(self.delta_values)))
-        ):
-            raise ValueError("Delta values violate conjugate symmetry")
+        _check_conjugate_symmetric(np.asarray(self.delta_values))
         at_zero = float(
             np.interp(0.0, np.asarray(self.u_grid), np.asarray(self.k_values))
         )
@@ -818,31 +800,21 @@ class InversionIntermediates:
             raise ValueError("K(0) must be 0")
 
 
-def invert_cf(
-    cf: CharacteristicFunctionGrid,
-    u_grid=None,
-    reference_ts=None,
-) -> InversionIntermediates:
+def invert_cf(cf: CharacteristicFunctionGrid) -> InversionIntermediates:
     """The full backward route: Delta profile, K inversion, G recovery.
 
-    The drift is the least-squares linear-phase remainder after subtracting
-    the recovered measure's contribution from log phi; the reconstruction
-    error is the worst |log phi - rebuilt| over reference_ts (default
-    [-5, 5], clipped to the grid).
+    K is sampled, and G recovered, on u in [-3, 3] at step 0.005. The drift
+    is the least-squares linear-phase remainder after subtracting the
+    recovered measure's contribution from log phi; the reconstruction error
+    is the worst |log phi - rebuilt| over 101 t on [-5, 5], clipped to the
+    grid.
     """
     ts, dvals = delta_profile(cf)
-    if u_grid is None:
-        u_grid = np.arange(-3.0, 3.0 + 1e-9, 0.005)
-    u_grid = np.asarray(u_grid, dtype=float)
+    u_grid = np.arange(-3.0, 3.0 + 1e-9, 0.005)
     k_values = k_from_delta(ts, dvals, u_grid)
     recovered = g_from_k(k_values, u_grid)
-    k_drops = np.where(np.diff(k_values) < 0, -np.diff(k_values), 0.0)
-    k_measure = CanonicalMeasure.from_cell_masses(u_grid, k_drops)
 
-    if reference_ts is None:
-        lim = min(5.0, cf.t_max)
-        reference_ts = symmetric_grid(lim, 101)
-    reference_ts = np.asarray(reference_ts, dtype=float)
+    reference_ts = symmetric_grid(min(5.0, cf.t_max), 101)
     law0 = LevyKhintchinePair(gamma=0.0, G=recovered)
     base = log_cf_lk(law0, reference_ts)
     actual = cf.log_at(reference_ts)
@@ -856,7 +828,6 @@ def invert_cf(
         delta_values=dvals,
         u_grid=u_grid,
         k_values=k_values,
-        k_measure=k_measure,
         taper_span=float(ts[-1]),
         recovered=recovered,
         drift=drift,
@@ -866,8 +837,6 @@ def invert_cf(
 
 def inversion_report(inv: InversionIntermediates) -> dict:
     """JSON-ready summary: inputs, window parameters, K samples, recovered G."""
-    from .measure import to_json_dict
-
     return {
         "inputs": {
             "delta_span": [float(inv.delta_ts[0]), float(inv.delta_ts[-1])],
@@ -911,11 +880,6 @@ class TruncationResult:
             - 0.5 * self.gaussian_mass * t * t
             + self.lambda_eps * (psi - 1.0)
         )
-
-    def compound_poisson_spec(self) -> Optional[CompoundPoissonSpec]:
-        if self.lambda_eps <= 0:
-            return None
-        return CompoundPoissonSpec(rate=self.lambda_eps, jump=self.jump_distribution)
 
 
 def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
@@ -972,10 +936,8 @@ def definetti_sequence(
     t_grid = np.asarray(t_grid, dtype=float)
     if reference_log_cf is None:
         ref_log = log_cf_lk(law, t_grid)
-    elif callable(reference_log_cf):
-        ref_log = np.asarray(reference_log_cf(t_grid), dtype=complex)
     else:
-        ref_log = np.asarray(reference_log_cf, dtype=complex)
+        ref_log = np.asarray(reference_log_cf(t_grid), dtype=complex)
     ref_cf = np.exp(ref_log)
     out = []
     for e in eps:

@@ -20,15 +20,15 @@ _PHASE_ANCHOR_EVERY = 64
 
 
 class MissingAtomValue(ValueError):
-    """An integrand is singular at an atom location and no override was given."""
+    """An integrand is singular at an atom location."""
 
 
 class InfiniteWeight(ValueError):
     """A reweighting function is unbounded on a cell (or atom) carrying mass."""
 
 
-def _as_readonly(a, dtype=float):
-    arr = np.asarray(a, dtype=dtype).copy()
+def _as_readonly(a):
+    arr = np.asarray(a, dtype=float).copy()
     arr.setflags(write=False)
     return arr
 
@@ -185,10 +185,10 @@ def mass_between(m: CanonicalMeasure, lo, hi, include_lo=True, include_hi=True) 
     return mass
 
 
-def atom_mass_at(m: CanonicalMeasure, loc, tol=ATOM_LOCATION_TOL) -> float:
-    """Mass of the atom at the given location (0.0 if there is none)."""
+def atom_mass_at(m: CanonicalMeasure, loc) -> float:
+    """Mass of the atom within ATOM_LOCATION_TOL of loc (0.0 if there is none)."""
     for aloc, amass in m.atoms:
-        if abs(aloc - loc) <= tol:
+        if abs(aloc - loc) <= ATOM_LOCATION_TOL:
             return amass
     return 0.0
 
@@ -198,15 +198,6 @@ def _eval_on(f, x):
     real (float), a complex one complex."""
     v = np.asarray(f(x))
     return np.broadcast_to(v if np.iscomplexobj(v) else v.astype(float), x.shape)
-
-
-def _with_overrides(locs, fv, overrides):
-    """fv at the atom locations, with the value of the first override key
-    within ATOM_LOCATION_TOL of a location in its place."""
-    if not overrides:
-        return fv
-    hit = np.abs(locs[:, None] - np.array(list(overrides))) <= ATOM_LOCATION_TOL
-    return np.where(hit.any(axis=1), np.array(list(overrides.values()))[hit.argmax(axis=1)], fv)
 
 
 def _real_weight(w, x):
@@ -236,24 +227,21 @@ def _gauss_nodes(m: CanonicalMeasure, order):
     return nodes.ravel(), weights.ravel()
 
 
-def integrate(m: CanonicalMeasure, f, atom_values=None) -> complex:
+def integrate(m: CanonicalMeasure, f) -> complex:
     """Integrate a test function against the measure.
 
     f is called on arrays of locations. Atoms contribute mass * f(location),
-    summed in atom order, except that locations listed in ``atom_values``
-    use the supplied value instead (for integrands with a removable
-    singularity there). The density contributes a per-cell order-20
+    summed in atom order. The density contributes a per-cell order-20
     Gauss-Legendre quadrature. Deterministic for a fixed configuration.
 
     Raises
     ------
     MissingAtomValue
-        If f is singular (returns a non-finite value) at an atom location
-        with no override.
+        If f is singular (returns a non-finite value) at an atom location.
     """
     locs, masses = m._atom_arrays()
     with np.errstate(all="ignore"):
-        fv = _with_overrides(locs, _eval_on(f, locs), atom_values)
+        fv = _eval_on(f, locs)
     finite = np.isfinite(fv)
     if not np.all(finite):
         raise MissingAtomValue(f"integrand is singular at atom u={float(locs[~finite][0])}")
@@ -269,19 +257,17 @@ def integrate(m: CanonicalMeasure, f, atom_values=None) -> complex:
     return out
 
 
-def reweight(m: CanonicalMeasure, w, atom_weights=None) -> CanonicalMeasure:
+def reweight(m: CanonicalMeasure, w) -> CanonicalMeasure:
     """Multiply the measure by a non-negative weight function.
 
     w is called on arrays of locations. Atom masses are scaled by
-    w(location) (or by the override in ``atom_weights``); each density
-    cell's mass is scaled by the quadrature average of w over the cell, so
-    polynomial weights are handled exactly.
+    w(location); each density cell's mass is scaled by the quadrature
+    average of w over the cell, so polynomial weights are handled exactly.
     Raises InfiniteWeight when the weight is unbounded on a cell carrying
-    mass (checked at cell edges, midpoint and nodes) or non-finite at an atom
-    with no override.
+    mass (checked at cell edges, midpoint and nodes) or non-finite at an atom.
     """
     locs, masses = m._atom_arrays()
-    wv = _with_overrides(locs, _real_weight(w, locs), atom_weights)
+    wv = _real_weight(w, locs)
     bad = ~np.isfinite(wv)
     if np.any(bad):
         raise InfiniteWeight(f"weight is unbounded at atom u={float(locs[bad][0])}")

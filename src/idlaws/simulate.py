@@ -10,7 +10,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,11 +122,6 @@ def sample_increments(
     return out
 
 
-def sample_increment(spec: ProcessSpec, duration: float, stream) -> float:
-    """One increment of the given duration; deterministic given the stream."""
-    return float(sample_increments(spec, duration, 1, stream)[0])
-
-
 def sample_path(spec: ProcessSpec, times, path_index: int = 0) -> PathSample:
     """X sampled at the given times, one independent stream per interval.
 
@@ -225,21 +220,24 @@ class ScalingReport:
         }
 
 
+SCALING_DRAWS = 100_000
+MIN_ENVELOPE_FRACTION = 0.99
+
+
 def scaling_check(
     law: LevyKhintchinePair,
     t_grid,
     lambdas: Sequence[float],
     epsilon: float = 0.01,
-    draws: int = 100_000,
     seed: int = 0,
-    min_envelope_fraction: float = 0.99,
 ) -> ScalingReport:
     """Verify log phi(t, lam) = lam * log phi(t, 1), exactly and empirically.
 
     The exact half scales the representation (drift and measure both by lam)
-    and compares exponents; the empirical half samples duration-lam
-    increments and checks the CF estimates against exp(lam * log phi) inside
-    the 3/sqrt(N) envelope at a minimum fraction of grid points.
+    and compares exponents; the empirical half samples SCALING_DRAWS
+    duration-lam increments and checks the CF estimates against
+    exp(lam * log phi) inside the 3/sqrt(N) envelope at a fraction
+    MIN_ENVELOPE_FRACTION of grid points.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if any(not lam > 0 for lam in lambdas):
@@ -253,12 +251,12 @@ def scaling_check(
         exact_err = float(
             np.max(np.abs(log_cf_lk(scaled, t_grid) - lam * base_log))
         )
-        x = sample_increments(spec, lam, draws, stream_for(seed, j, 0))
+        x = sample_increments(spec, lam, SCALING_DRAWS, stream_for(seed, j, 0))
         est = empirical_cf(x, t_grid)
         target = np.exp(lam * base_log)
         inside = np.abs(est.estimates - target) <= est.half_widths
         frac = float(np.mean(inside))
-        ok = exact_err < 1e-12 and frac >= min_envelope_fraction
+        ok = exact_err < 1e-12 and frac >= MIN_ENVELOPE_FRACTION
         entries.append(
             ScalingEntry(
                 lam=float(lam),

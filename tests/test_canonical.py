@@ -28,8 +28,6 @@ from idlaws.canonical import (
     lk_to_kolmogorov,
     lk_to_levy,
     log_cf,
-    log_cf_kolmogorov,
-    log_cf_levy,
     log_cf_lk,
     scale_law,
     tail_function_m,
@@ -121,26 +119,26 @@ def test_log_cf_lk_cauchy() -> None:
 
 def test_log_cf_kolmogorov_gaussian() -> None:
     law = KolmogorovPair(gammaK=0.0, K=CanonicalMeasure.from_atoms([(0.0, 1.0)]))
-    assert log_cf_kolmogorov(law, 1.0) == -0.5 + 0j
+    assert log_cf(law, 1.0) == -0.5 + 0j
 
 
 def test_log_cf_kolmogorov_poisson() -> None:
     # it + (e^{it} - 1 - it) = e^{it} - 1
     law = KolmogorovPair(gammaK=1.0, K=CanonicalMeasure.from_atoms([(1.0, 1.0)]))
-    worst = max(abs(log_cf_kolmogorov(law, t) - poisson_exponent(t)) for t in T_DENSE)
+    worst = max(abs(log_cf(law, t) - poisson_exponent(t)) for t in T_DENSE)
     assert worst < 1e-12
 
 
 def test_log_cf_kolmogorov_pure_drift() -> None:
     law = KolmogorovPair(gammaK=3.0, K=CanonicalMeasure.empty())
-    assert log_cf_kolmogorov(law, 2.0) == 6j
+    assert log_cf(law, 2.0) == 6j
 
 
 def test_log_cf_levy_pure_gaussian() -> None:
     law = LevyTriplet(
         gamma=1.0, sigma2=4.0, M=CanonicalMeasure.empty(), N=CanonicalMeasure.empty()
     )
-    assert log_cf_levy(law, 1.0) == 1j - 2.0
+    assert log_cf(law, 1.0) == 1j - 2.0
 
 
 def test_log_cf_levy_poisson() -> None:
@@ -150,7 +148,7 @@ def test_log_cf_levy_poisson() -> None:
         M=CanonicalMeasure.empty(),
         N=CanonicalMeasure.from_atoms([(1.0, 1.0)]),
     )
-    worst = max(abs(log_cf_levy(law, t) - poisson_exponent(t)) for t in T_DENSE)
+    worst = max(abs(log_cf(law, t) - poisson_exponent(t)) for t in T_DENSE)
     assert worst < 1e-12
 
 
@@ -162,7 +160,7 @@ def test_log_cf_levy_negative_jumps_mirror() -> None:
         M=CanonicalMeasure.from_atoms([(-1.0, 1.0)]),
         N=CanonicalMeasure.empty(),
     )
-    worst = max(abs(log_cf_levy(law, t) - poisson_exponent(-t)) for t in T_DENSE)
+    worst = max(abs(log_cf(law, t) - poisson_exponent(-t)) for t in T_DENSE)
     assert worst < 1e-12
 
 
@@ -202,7 +200,7 @@ def test_lk_to_kolmogorov_poisson() -> None:
     assert kp.gammaK == pytest.approx(1.0, abs=1e-14)
     assert kp.K.atoms == ((1.0, 1.0),)
     worst = max(
-        abs(log_cf_kolmogorov(kp, t) - log_cf_lk(law, t)) for t in T_GRID
+        abs(log_cf(kp, t) - log_cf_lk(law, t)) for t in T_GRID
     )
     assert worst < 1e-12
 
@@ -252,7 +250,7 @@ def test_lk_to_levy_poisson() -> None:
     assert tri.sigma2 == 0.0
     # 0.5 * (1+1)/1 = 1.0
     assert tri.N.atoms == ((1.0, 1.0),)
-    worst = max(abs(log_cf_levy(tri, t) - log_cf_lk(law, t)) for t in T_GRID)
+    worst = max(abs(log_cf(tri, t) - log_cf_lk(law, t)) for t in T_GRID)
     assert worst < 1e-12
 
 
@@ -325,8 +323,8 @@ def test_forms_agree_on_reference_grid() -> None:
         tri = lk_to_levy(law)
         for t in T_GRID:
             ref = log_cf_lk(law, t)
-            assert abs(log_cf_kolmogorov(kp, t) - ref) < tol
-            assert abs(log_cf_levy(tri, t) - ref) < tol
+            assert abs(log_cf(kp, t) - ref) < tol
+            assert abs(log_cf(tri, t) - ref) < tol
 
 
 # -- compound Poisson ---------------------------------------------------------------

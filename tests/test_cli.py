@@ -126,6 +126,17 @@ def test_verify_id_gaussian(tmp_path, capsys) -> None:
     assert doc["roots_checked"] == [2, 3, 5]
 
 
+def test_verify_id_gaussian_past_cf_underflow(tmp_path, capsys) -> None:
+    """exp(-t^2/2) is 0.0 in float64 beyond |t| ~ 38.6; that is no zero of the CF."""
+    out = tmp_path / "v.json"
+    argv = ["verify-id", "--catalog", "gaussian:0,1", "--t-max", "40", "--points", "8001"]
+    code, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is True, doc["reason"]
+    assert doc["zero_location"] is None
+
+
 # -- approx-cp ---------------------------------------------------------------------
 
 

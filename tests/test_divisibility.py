@@ -9,7 +9,6 @@ from idlaws.divisibility import (
     PHASE_FLIP_THRESHOLD,
     CharacteristicFunctionGrid,
     ProbeOutOfRange,
-    TriangularArrayRow,
     ZeroCrossing,
     _unwrapped_log,
     build_cf_grid,
@@ -18,7 +17,6 @@ from idlaws.divisibility import (
     nth_root,
     psd_check,
     symmetric_grid,
-    triangular_row,
     verify_infinitely_divisible,
 )
 from idlaws.measure import CanonicalMeasure
@@ -338,15 +336,14 @@ def test_verify_reports_psd_failure_on_window() -> None:
 
 def test_triangular_row_poisson() -> None:
     g = build_cf_grid(poisson_cf, 10.0, 201)
-    row = triangular_row(g, 3)
-    assert isinstance(row, TriangularArrayRow)
+    row = nth_root(g, 3)
     expect = np.exp((np.exp(1j * g.t_grid) - 1.0) / 3.0)
-    assert np.max(np.abs(row.component_cf.values - expect)) < 1e-9
+    assert np.max(np.abs(row.values - expect)) < 1e-9
 
 
 def test_triangular_row_identity() -> None:
     g = build_cf_grid(gaussian_cf, 10.0, 201)
-    assert triangular_row(g, 1).component_cf is g
+    assert nth_root(g, 1) is g
 
 
 def test_grid_csv_export() -> None:
@@ -447,7 +444,9 @@ def _cp_skew():
 
 
 def _unwrap_cases():
-    """(t, CF values) of the grids the tests and the benchmark's verify-id unwrap."""
+    """(t, CF values) of the grids the tests unwrap, and of the laws and grids
+    of the benchmark's verify-id calls (which sample the log CF, unwrapping
+    nothing)."""
     yield symmetric_grid(10.0, 201), gaussian_cf
     yield symmetric_grid(10.0, 201), poisson_cf
     yield symmetric_grid(10.0, 201), lambda t: np.exp(2.5j * t) * poisson_cf(t)

@@ -627,7 +627,7 @@ def test_k_from_delta_insufficient_span() -> None:
 
 def test_k_from_delta_rejects_asymmetry() -> None:
     ts = np.linspace(-50.0, 50.0, 2001)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conjugate symmetry"):
         k_from_delta(ts, ts.astype(complex), [0.5])  # real odd profile
 
 
@@ -868,22 +868,18 @@ def test_inversion_intermediates_invariants(poisson_inversion) -> None:
     inv = poisson_inversion
     assert inv.k_sign == -1
     assert abs(float(np.interp(0.0, inv.u_grid, inv.k_values))) < 1e-9
-    # k_measure records -dK; its mass is K's total drop
-    drop = float(np.sum(np.where(np.diff(inv.k_values) < 0, -np.diff(inv.k_values), 0.0)))
-    assert abs(total_mass(inv.k_measure) - drop) < 1e-12
 
 
 def test_inversion_intermediates_rejects_asymmetric_delta(poisson_inversion) -> None:
     inv = poisson_inversion
     bad = np.array(inv.delta_values)
     bad[0] += 1e-3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conjugate symmetry"):
         InversionIntermediates(
             delta_ts=inv.delta_ts,
             delta_values=bad,
             u_grid=inv.u_grid,
             k_values=inv.k_values,
-            k_measure=inv.k_measure,
             taper_span=inv.taper_span,
             recovered=inv.recovered,
             drift=inv.drift,
@@ -904,8 +900,6 @@ def test_truncate_poisson_exact() -> None:
     ts = np.linspace(-5.0, 5.0, 11)
     exact = np.exp(1j * ts) - 1.0
     assert np.max(np.abs(tr.log_cf(ts) - exact)) < 1e-12
-    spec = tr.compound_poisson_spec()
-    assert spec is not None and abs(spec.rate - 1.0) < 1e-12
 
 
 def test_truncate_gaussian_keeps_drift_and_mass() -> None:
@@ -916,7 +910,6 @@ def test_truncate_gaussian_keeps_drift_and_mass() -> None:
     assert tr.lambda_eps == 0.0
     assert tr.gaussian_mass == 2.0
     assert tr.drift == 0.3
-    assert tr.compound_poisson_spec() is None
     t = 1.5
     assert abs(tr.log_cf(t) - (0.3j * t - t * t * 2.0 / 2.0)) < 1e-12
 

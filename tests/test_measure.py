@@ -91,16 +91,6 @@ def test_cdf_nondecreasing_sampled() -> None:
 # -- integrate -----------------------------------------------------------------
 
 
-def test_integrate_atom_override() -> None:
-    """Singular integrand at the atom; the injected value decides the result."""
-
-    def f(u):
-        return np.asarray(1.0 / np.asarray(u), dtype=complex)
-
-    v = integrate(unit_atom(), f, atom_values={0.0: -2.0})
-    assert v == -2.0
-
-
 def test_integrate_missing_override_raises() -> None:
     def f(u):
         return np.asarray(1.0 / np.asarray(u), dtype=complex)
@@ -149,13 +139,6 @@ def test_reweight_atom() -> None:
     m = CanonicalMeasure.from_atoms([(1.0, 0.5)])
     r = reweight(m, lambda u: 1.0 + u * u)
     assert r.atoms == ((1.0, 1.0),)
-
-
-def test_reweight_atom_override() -> None:
-    # (1+u^2)/u^2 blows up at 0; the override pins the atom weight
-    m = unit_atom()
-    r = reweight(m, lambda u: (1.0 + u * u) / (u * u), atom_weights={0.0: 1.0})
-    assert r.atoms == ((0.0, 1.0),)
 
 
 def test_reweight_density_quadratic() -> None:
@@ -248,26 +231,11 @@ def test_reweight_rejects_complex_weight_on_atoms() -> None:
     assert reweight(m, lambda u: (u * u) + 0j).atoms == reweight(m, lambda u: u * u).atoms
 
 
-def lookup_override(overrides, loc):
-    if overrides is None:
-        return None
-    if loc in overrides:
-        return overrides[loc]
-    for key, val in overrides.items():
-        if abs(key - loc) <= measure.ATOM_LOCATION_TOL:
-            return val
-    return None
-
-
-def integrate_per_atom(m, f, atom_values=None) -> complex:
+def integrate_per_atom(m, f) -> complex:
     """The per-atom integrate loop the array call of f replaced, kept as its
     reference; the density part is integrate's own."""
     out = 0j
     for loc, mass in m.atoms:
-        override = lookup_override(atom_values, loc)
-        if override is not None:
-            out += mass * complex(override)
-            continue
         try:
             with np.errstate(all="ignore"):
                 fv = complex(f(loc))
@@ -280,22 +248,18 @@ def integrate_per_atom(m, f, atom_values=None) -> complex:
     return out + integrate(density, f) if m.values.size else out
 
 
-def reweight_atoms_per_atom(m, w, atom_weights=None) -> tuple:
+def reweight_atoms_per_atom(m, w) -> tuple:
     """The per-atom reweight loop the array call of w replaced, kept as its
     reference: the reweighted atoms."""
     new_atoms = []
     for loc, mass in m.atoms:
-        override = lookup_override(atom_weights, loc)
-        if override is not None:
-            wv = float(override)
-        else:
-            try:
-                with np.errstate(all="ignore"):
-                    wv = float(w(loc))
-            except ZeroDivisionError:
-                raise InfiniteWeight(f"weight is unbounded at atom u={loc}") from None
-            if not np.isfinite(wv):
-                raise InfiniteWeight(f"weight is unbounded at atom u={loc}")
+        try:
+            with np.errstate(all="ignore"):
+                wv = float(w(loc))
+        except ZeroDivisionError:
+            raise InfiniteWeight(f"weight is unbounded at atom u={loc}") from None
+        if not np.isfinite(wv):
+            raise InfiniteWeight(f"weight is unbounded at atom u={loc}")
         if wv < 0:
             raise ValueError(f"weight is negative at atom u={loc}")
         new_atoms.append((loc, mass * wv))
@@ -321,25 +285,30 @@ def _atom_measures():
     ]
 
 
-# the real integrands and weights the package passes, with their overrides
+# the real integrands and weights the package passes
 PACKAGE_INTEGRANDS = [
-    (lambda u: u, None),
-    (lambda u: 1.0 / u, {0.0: 0.0}),
-    (lambda u: u / (1.0 + u * u), None),
+    lambda u: u,
+    lambda u: 1.0 / u,
+    lambda u: u / (1.0 + u * u),
 ]
 PACKAGE_WEIGHTS = [
-    (lambda u: 1.0 + u * u, None),
-    (lambda u: 1.0 / (1.0 + u * u), None),
-    (lambda u: (u * u) / (1.0 + u * u), {0.0: 0.0}),
+    lambda u: 1.0 + u * u,
+    lambda u: 1.0 / (1.0 + u * u),
+    lambda u: (u * u) / (1.0 + u * u),
 ]
 
 
 @pytest.mark.parametrize("k", range(len(PACKAGE_INTEGRANDS)))
 def test_integrate_atoms_bit_identical_to_per_atom_loop(k) -> None:
-    f, overrides = PACKAGE_INTEGRANDS[k]
+    f = PACKAGE_INTEGRANDS[k]
     for m in _atom_measures():
-        got, want = integrate(m, f, atom_values=overrides), integrate_per_atom(m, f, overrides)
-        assert bits(got) == bits(want)
+        try:
+            want = integrate_per_atom(m, f)
+        except MissingAtomValue:  # 1/u at an atom at 0
+            with pytest.raises(MissingAtomValue):
+                integrate(m, f)
+            continue
+        assert bits(integrate(m, f)) == bits(want)
 
 
 def test_integrate_complex_atoms_match_per_atom_loop() -> None:
@@ -348,21 +317,16 @@ def test_integrate_complex_atoms_match_per_atom_loop() -> None:
             f = lambda u: np.exp(1j * t * u)
             got, want = integrate(m, f), integrate_per_atom(m, f)
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
-    # overrides match within ATOM_LOCATION_TOL; an exact key and a near one
     m = CanonicalMeasure.from_atoms([(0.0, 1.0), (1.0, 2.0)])
-    f = lambda u: 1.0 / u
-    for overrides in ({0.0: 3.0 - 1j}, {5e-13: 4.0}, {1.0: 0.5, 0.0: 2.0}):
-        assert integrate(m, f, overrides) == integrate_per_atom(m, f, overrides)
     with pytest.raises(MissingAtomValue, match="u=0.0"):
-        integrate(m, f, {2e-12: 1.0})
+        integrate(m, lambda u: 1.0 / u)
 
 
 @pytest.mark.parametrize("k", range(len(PACKAGE_WEIGHTS)))
 def test_reweight_atoms_bit_identical_to_per_atom_loop(k) -> None:
-    w, overrides = PACKAGE_WEIGHTS[k]
+    w = PACKAGE_WEIGHTS[k]
     for m in _atom_measures():
-        want = reweight_atoms_per_atom(m, w, overrides)
-        assert reweight(m, w, atom_weights=overrides).atoms == want
+        assert reweight(m, w).atoms == reweight_atoms_per_atom(m, w)
 
 
 def test_reweight_atom_errors_name_the_atom() -> None:

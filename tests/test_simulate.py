@@ -19,7 +19,6 @@ from idlaws.simulate import (
     empirical_cf_to_csv,
     ks_statistic,
     paths_to_csv,
-    sample_increment,
     sample_increments,
     sample_path,
     scaling_check,
@@ -111,7 +110,7 @@ def test_stream_for_validates_indices() -> None:
 def test_drift_only_increment_is_exact() -> None:
     spec = ProcessSpec(law=catalog("gaussian", 1.0, 0.0), epsilon=0.1, horizon=9.0, seed=0)
     for d in (0.25, 1.0, 3.5):
-        assert sample_increment(spec, d, stream_for(0, 0, 0)) == d
+        assert sample_increments(spec, d, 1, stream_for(0, 0, 0))[0] == d
 
 
 def test_poisson_increment_zero_probability(poisson_spec) -> None:
@@ -182,13 +181,13 @@ def test_split_interval_matches_single(poisson_spec) -> None:
 
 
 def reference_path(spec, times, path_index=0):
-    """The former sampler: a fresh stream_for stream and one sample_increment
-    per interval, kept as the reference for sample_path's single generator."""
+    """The former sampler: a fresh stream_for stream and one increment per
+    interval, kept as the reference for sample_path's single generator."""
     times = np.asarray(times, dtype=float)
     values = np.zeros(times.size)
     for k, gap in enumerate(np.diff(times)):
         stream = stream_for(spec.seed, path_index, k)
-        values[k + 1] = values[k] + sample_increment(spec, float(gap), stream)
+        values[k + 1] = values[k] + sample_increments(spec, float(gap), 1, stream)[0]
     return PathSample(times=times, values=values)
 
 
