@@ -202,7 +202,7 @@ def _run_approx_cp(args) -> int:
     payload = {
         "entries": [
             {
-                "epsilon": e.epsilon,
+                "epsilon": e.truncation.epsilon,
                 "lambda": e.truncation.lambda_eps,
                 "drift": e.truncation.drift,
                 "gaussian_mass": e.truncation.gaussian_mass,

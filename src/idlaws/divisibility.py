@@ -39,42 +39,55 @@ _CSV_BLOCK = 4096
 PHASE_FLIP_THRESHOLD = 3.0
 
 
+def _even_step(x: np.ndarray) -> Optional[float]:
+    """The step of an evenly spaced x (0.0 for fewer than two points), else None."""
+    if x.size < 2:
+        return 0.0
+    step = (x[-1] - x[0]) / (x.size - 1)
+    drift = np.max(np.abs(x - (x[0] + step * np.arange(x.size))))
+    return float(step) if drift <= 1e-12 * np.max(np.abs(x)) else None
+
+
+def _check_conjugate_symmetric(f: np.ndarray) -> None:
+    """Raise ValueError unless f(-t) = conj f(t), to 1e-9 relative to max(1, max |f|)."""
+    if np.max(np.abs(f[::-1].conj() - f)) > 1e-9 * max(1.0, float(np.max(np.abs(f)))):
+        raise ValueError("values violate conjugate symmetry")
+
+
 @dataclass(frozen=True)
 class CharacteristicFunctionGrid:
-    """CF samples on a symmetric t-grid plus the unwrapped complex logarithm."""
+    """The unwrapped log of a CF on an evenly spaced symmetric t-grid; ``values`` is its exp."""
 
     t_grid: np.ndarray
-    values: np.ndarray
     log_values: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
         lv = np.asarray(self.log_values, dtype=complex)
         if not (t.ndim == 1 and t.size >= 3 and t.size % 2 == 1):
             raise ValueError("t_grid must be 1-d with odd length >= 3")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("t_grid must be strictly increasing")
+        step = _even_step(t)
+        if step is None or step <= 0.0:
+            raise ValueError("t_grid must be increasing and evenly spaced")
         if not np.allclose(t, -t[::-1], atol=1e-12):
             raise ValueError("t_grid must be symmetric about 0")
         mid = t.size // 2
         if t[mid] != 0.0:
             raise ValueError("t_grid must contain 0")
-        if v.shape != t.shape or lv.shape != t.shape:
-            raise ValueError("values and log_values must match t_grid shape")
-        if abs(v[mid] - 1.0) > 1e-12:
-            raise ValueError("value at t=0 must be 1")
+        if lv.shape != t.shape:
+            raise ValueError("log_values must match t_grid shape")
         if lv[mid] != 0:
             raise ValueError("log value at t=0 must be 0")
-        if np.any(np.abs(v) > 1.0 + 1e-9):
+        if np.any(lv.real > 1e-9):
             raise ValueError("CF modulus exceeds 1")
-        if np.max(np.abs(np.exp(lv) - v)) > 1e-9:
-            raise ValueError("log_values do not exponentiate to values")
-        if np.max(np.abs(v - np.conj(v[::-1]))) > 1e-9:
-            raise ValueError("values violate conjugate symmetry")
-        for name, arr in (("t_grid", t), ("values", v), ("log_values", lv)):
+        _check_conjugate_symmetric(lv)
+        for name, arr in (("t_grid", t), ("log_values", lv)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.exp(self.log_values)
 
     @property
     def t_max(self) -> float:
@@ -154,31 +167,52 @@ def _sample(evaluator, t_max: float, points: int):
     return t_grid, np.array(np.broadcast_to(values, t_grid.shape))
 
 
+DEAD_MODULUS = 1e-300  # a sample with a smaller modulus has no usable logarithm
+
+
+def _underflow_span(values: np.ndarray, dead: np.ndarray) -> Optional[int]:
+    """The number of live samples each side of t=0 if the dead ones are an
+    underflowing tail: one run out to each end of the grid, where a further
+    step at the slope of the last two live log-moduli already falls below
+    log(DEAD_MODULUS). Else None, as for the triangular max(1 - |t|, 0),
+    whose last live modulus is 0.05."""
+    mid = values.size // 2
+    live = np.flatnonzero(~dead)
+    lo, hi = int(live[0]), int(live[-1])
+    if live.size != hi - lo + 1 or not (0 < lo < mid < hi < values.size - 1):
+        return None
+    edge = np.log(np.abs(values[[lo, lo + 1, hi - 1, hi]]))
+    next_step = max(2.0 * edge[0] - edge[1], 2.0 * edge[3] - edge[2])
+    return min(mid - lo, hi - mid) if next_step < np.log(DEAD_MODULUS) else None
+
+
 def build_cf_grid(
     evaluator: Callable[[np.ndarray], np.ndarray], t_max: float, points: int
 ) -> CharacteristicFunctionGrid:
     """Sample a CF on a uniform symmetric grid and unwrap its logarithm.
 
     The evaluator is called once, on the whole t array (see ``_sample``).
-    Raises ZeroCrossing when any sample's modulus underflows the log (a hard
-    zero), or when the phase jumps by more than ``PHASE_FLIP_THRESHOLD``
-    between neighbours (a sign change through zero, invisible to any modulus
-    threshold on a finite grid). Either way the witness t is attached to the
-    exception. Genuinely tiny moduli (a Gaussian CF at large t) are fine: the
-    log stays well defined.
+    A modulus below DEAD_MODULUS has no usable log. When those samples are a
+    tail that decays out of float range (``_underflow_span``: a Gaussian CF
+    beyond |t| ~ 37) the grid ends at the last live point on each side.
+    Otherwise they are a hard zero and raise ZeroCrossing, as does a phase
+    jump of more than ``PHASE_FLIP_THRESHOLD`` between neighbours (a sign
+    change through zero, invisible to any modulus threshold on a finite
+    grid). Either way the witness t is attached to the exception.
     """
     t_grid, values = _sample(evaluator, t_max, points)
-    if abs(values[points // 2] - 1.0) > 1e-9:
+    mid = points // 2
+    if abs(values[mid] - 1.0) > 1e-9:
         raise ValueError("evaluator(0) must equal 1")
-    values[points // 2] = 1.0
-    dead = np.abs(values) < 1e-300
+    values[mid] = 1.0
+    dead = np.abs(values) < DEAD_MODULUS
     if np.any(dead):
-        witness = float(t_grid[np.argmax(dead)])
-        raise ZeroCrossing(f"CF vanishes at grid point t={witness:.6g}", witness=witness)
-    log_values = _unwrapped_log(t_grid, values)
-    return CharacteristicFunctionGrid(
-        t_grid=t_grid, values=values, log_values=log_values
-    )
+        keep = _underflow_span(values, dead)
+        if keep is None:
+            witness = float(t_grid[np.argmax(dead)])
+            raise ZeroCrossing(f"CF vanishes at grid point t={witness:.6g}", witness=witness)
+        t_grid, values = t_grid[mid - keep : mid + keep + 1], values[mid - keep : mid + keep + 1]
+    return CharacteristicFunctionGrid(t_grid=t_grid, log_values=_unwrapped_log(t_grid, values))
 
 
 def build_log_cf_grid(
@@ -195,33 +229,19 @@ def build_log_cf_grid(
     if abs(log_values[points // 2]) > 1e-9:
         raise ValueError("log_evaluator(0) must equal 0")
     log_values[points // 2] = 0.0
-    values = np.exp(log_values)
-    return CharacteristicFunctionGrid(
-        t_grid=t_grid, values=values, log_values=log_values
-    )
+    return CharacteristicFunctionGrid(t_grid=t_grid, log_values=log_values)
 
 
 def nth_root(cf: CharacteristicFunctionGrid, n: int) -> CharacteristicFunctionGrid:
     """The n-th convolution root: divide the unwrapped logarithm by n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n == 1:
-        return cf
-    log_root = cf.log_values / n
-    values = np.exp(log_root)
-    mid = values.size // 2
-    values[mid] = 1.0
-    return CharacteristicFunctionGrid(
-        t_grid=cf.t_grid, values=values, log_values=log_root
-    )
+    return cf if n == 1 else CharacteristicFunctionGrid(cf.t_grid, cf.log_values / n)
 
 
-def psd_check(
-    cf: CharacteristicFunctionGrid,
-    probe_points: Sequence[float],
-    tolerance: float,
-) -> tuple[bool, float]:
-    """Minimum eigenvalue of the Gram matrix H[j,k] = phi(t_j - t_k).
+def psd_check(cf: CharacteristicFunctionGrid, probe_points: Sequence[float]) -> tuple[bool, float]:
+    """Minimum eigenvalue of the Gram matrix H[j,k] = phi(t_j - t_k), and
+    whether it is at least -PSD_TOLERANCE.
 
     Probe differences falling between grid points are interpolated linearly
     on the unwrapped logarithm (smooth), not on the raw values. The matrix is
@@ -242,7 +262,7 @@ def psd_check(
     H = np.exp(cf.log_at(np.clip(diffs, cf.t_grid[0], cf.t_grid[-1])))
     H = 0.5 * (H + H.conj().T)
     min_eig = float(np.linalg.eigvalsh(H)[0])
-    return (min_eig >= -tolerance, min_eig)
+    return (min_eig >= -PSD_TOLERANCE, min_eig)
 
 
 DEFAULT_ROOTS = (2, 3, 5)
@@ -265,7 +285,6 @@ class DivisibilityReport:
     zero_location: Optional[float] = None
     failures: tuple = ()
     roots_checked: tuple = ()
-    probe_sets: tuple = ()
 
 
 def verify_infinitely_divisible(
@@ -281,54 +300,48 @@ def verify_infinitely_divisible(
     zero crossing of the CF or a probe set on which some n-th root's Gram
     matrix has an eigenvalue below -PSD_TOLERANCE.
     """
-    if callable(cf):
-        try:
+    roots = tuple(roots_to_check)
+    zero_location, failures = None, []
+    try:
+        if callable(cf):
             cf = build_cf_grid(cf, t_max=t_max, points=points)
-        except ZeroCrossing as exc:
-            return DivisibilityReport(
-                passed=False,
-                reason=str(exc),
-                zero_location=exc.witness,
-                roots_checked=tuple(roots_to_check),
-            )
-    span = cf.t_max
-    # largest pairwise probe difference is 2*max(ps); keep it on the grid
-    probe_sets = tuple(
-        ps for ps in DEFAULT_PROBE_SETS if 2.0 * max(ps) <= span
-    ) or (tuple(k * span / 6.0 for k in range(-3, 4)),)
-    failures = []
-    for n in roots_to_check:
-        root = nth_root(cf, n)
-        for ps in probe_sets:
-            ok, min_eig = psd_check(root, ps, PSD_TOLERANCE)
-            if not ok:
-                failures.append((n, tuple(ps), min_eig))
-    if failures:
-        worst = min(failures, key=lambda f: f[2])
-        return DivisibilityReport(
-            passed=False,
-            reason=(
-                f"root n={worst[0]} fails positive semidefiniteness on probes "
-                f"{list(worst[1])} (min eigenvalue {worst[2]:.3e})"
-            ),
-            failures=tuple(failures),
-            roots_checked=tuple(roots_to_check),
-            probe_sets=tuple(tuple(ps) for ps in probe_sets),
+    except ZeroCrossing as exc:
+        zero_location, reason = exc.witness, str(exc)
+    else:
+        # largest pairwise probe difference is 2*max(ps); keep it on the grid
+        probe_sets = tuple(ps for ps in DEFAULT_PROBE_SETS if 2.0 * max(ps) <= cf.t_max) or (
+            tuple(k * cf.t_max / 6.0 for k in range(-3, 4)),
         )
+        for n in roots:
+            root = nth_root(cf, n)
+            for ps in probe_sets:
+                ok, min_eig = psd_check(root, ps)
+                if not ok:
+                    failures.append((n, ps, min_eig))
+        if failures:
+            n, ps, min_eig = min(failures, key=lambda f: f[2])
+            reason = (
+                f"root n={n} fails positive semidefiniteness on probes "
+                f"{list(ps)} (min eigenvalue {min_eig:.3e})"
+            )
+        else:
+            reason = (
+                f"CF zero-free on the grid; roots {roots} pass "
+                f"PSD checks on {len(probe_sets)} probe sets"
+            )
     return DivisibilityReport(
-        passed=True,
-        reason=(
-            f"CF zero-free on the grid; roots {tuple(roots_to_check)} pass "
-            f"PSD checks on {len(probe_sets)} probe sets"
-        ),
-        roots_checked=tuple(roots_to_check),
-        probe_sets=tuple(tuple(ps) for ps in probe_sets),
+        passed=zero_location is None and not failures,
+        reason=reason,
+        zero_location=zero_location,
+        failures=tuple(failures),
+        roots_checked=roots,
     )
 
 
 def grid_to_csv(cf: CharacteristicFunctionGrid) -> str:
     """CSV text with columns t, re, im, log_re, log_im."""
-    cols = (cf.t_grid, cf.values.real, cf.values.imag, cf.log_values.real, cf.log_values.imag)
+    values = cf.values
+    cols = (cf.t_grid, values.real, values.imag, cf.log_values.real, cf.log_values.imag)
     buf = io.StringIO()
     buf.write("t,re,im,log_re,log_im\n")
     # a block of rows at a time, so only one block's Python floats are alive

@@ -29,21 +29,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .canonical import LevyKhintchinePair, jump_intensity, log_cf_lk
-from .divisibility import CharacteristicFunctionGrid, build_cf_grid, symmetric_grid
+from .divisibility import (
+    CharacteristicFunctionGrid, _check_conjugate_symmetric, _even_step, build_cf_grid,
+    symmetric_grid,
+)
 from .measure import (
-    CanonicalMeasure,
-    atom_mass_at,
-    cdf,
-    combine,
-    fourier_transform,
-    hermitian_fold,
-    integrate,
-    mass_between,
-    restrict,
-    reweight,
-    scale,
-    to_json_dict,
-    total_mass,
+    CanonicalMeasure, _legendre, atom_mass_at, cdf, combine, fourier_transform, hermitian_fold,
+    integrate, mass_between, restrict, reweight, scale, to_json_dict, total_mass,
 )
 
 
@@ -202,28 +194,9 @@ def i_h(cf: CharacteristicFunctionGrid, h: float, t):
 
 def _gl_integral(f, lo: float, hi: float) -> float:
     """64-node Gauss-Legendre integral of f over [lo, hi], f called once on the nodes."""
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = _legendre(64)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return float(half * np.sum(w * f(mid + half * x)))
-
-
-# the (A.3) constant: min over |u| <= 1 of (1 - cos u)(1+u^2)/u^2. The
-# function rises from 1/2 at u=0 to about 0.9194 at |u|=1, so the minimum is
-# the removable value 1/2 at the origin; a grid scan pins it numerically.
-def small_u_cosine_constant() -> float:
-    u = np.linspace(-1.0, 1.0, 20001)
-    vals = 2.0 * _half_versine_weight(u)
-    return float(np.min(vals))
-
-
-def _half_versine_weight(u):
-    # (1 - cos u)(1+u^2)/(2 u^2) with limit 1/2 at 0, via the stable identity
-    # 1 - cos u = 2 sin^2(u/2)
-    u = np.asarray(u, dtype=float)
-    half = 0.5 * u
-    # s = sin(u/2)/u -> 1/2 at 0; (1-cos u)/u^2 = 2 s^2
-    s = np.divide(np.sin(half), u, out=np.full_like(u, 0.5), where=u != 0.0)
-    return s * s * (1.0 + u * u)
 
 
 # the quadrature slack a tail inequality may fail by
@@ -234,10 +207,8 @@ BOUND_TOLERANCE = 1e-8
 class TailBounds:
     a_h: float
     b_h: float
-    c_h: float
     bound_a: float
     bound_b: float
-    c_constant: float
     slack_a: float
     slack_b: float
 
@@ -253,8 +224,9 @@ def tail_bounds(G_h: CanonicalMeasure, cf: CharacteristicFunctionGrid, h: float)
     """
     a_h = mass_between(G_h, -1.0, 1.0)
     b_h = total_mass(G_h) - a_h
-    c_const = 0.5  # min of (1-cos u)(1+u^2)/u^2 on |u|<=1, attained at u=0
-    bound_a = -i_h(cf, h, 1.0).real / c_const
+    # c = 0.5, the (A.3) constant: min over |u| <= 1 of (1 - cos u)(1+u^2)/u^2,
+    # which rises from its removable value 1/2 at u=0 to about 0.9194 at |u|=1
+    bound_a = -i_h(cf, h, 1.0).real / 0.5
     bound_b = -_gl_integral(lambda s: i_h(cf, h, s).real, 0.0, 2.0)
     slack_a = bound_a - a_h
     slack_b = bound_b - b_h
@@ -269,10 +241,8 @@ def tail_bounds(G_h: CanonicalMeasure, cf: CharacteristicFunctionGrid, h: float)
     return TailBounds(
         a_h=a_h,
         b_h=b_h,
-        c_h=a_h + b_h,
         bound_a=bound_a,
         bound_b=bound_b,
-        c_constant=c_const,
         slack_a=slack_a,
         slack_b=slack_b,
     )
@@ -590,15 +560,6 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _even_step(x: np.ndarray) -> Optional[float]:
-    """The step of an evenly spaced x (0.0 for fewer than two points), else None."""
-    if x.size < 2:
-        return 0.0
-    step = (x[-1] - x[0]) / (x.size - 1)
-    drift = np.max(np.abs(x - (x[0] + step * np.arange(x.size))))
-    return float(step) if drift <= 1e-12 * np.max(np.abs(x)) else None
-
-
 def _chirp_z(a: np.ndarray, t0: float, h: float, u0: float, du: float, m: int) -> np.ndarray:
     """sum_k a_k e^{i u_j t_k} for t_k = t0 + k h and u_j = u0 + j du, j < m.
 
@@ -615,14 +576,6 @@ def _chirp_z(a: np.ndarray, t0: float, h: float, u0: float, du: float, m: int) -
     chirp = np.fft.fft(np.exp(-1j * half_alpha * lags * lags))
     conv = np.fft.ifft(x * chirp)[:m]
     return np.exp(1j * ((u0 + du * j) * t0 + half_alpha * j * j)) * conv
-
-
-def _check_conjugate_symmetric(delta_values: np.ndarray) -> None:
-    """Raise ValueError unless Delta(-t) = conj Delta(t) on the mirrored grid,
-    to 1e-9 relative to max(1, max |Delta|)."""
-    sym = delta_values[::-1].conj()
-    if np.max(np.abs(sym - delta_values)) > 1e-9 * max(1.0, float(np.max(np.abs(delta_values)))):
-        raise ValueError("Delta values violate conjugate symmetry")
 
 
 def k_from_delta(
@@ -776,26 +729,24 @@ def g_from_k(k_values, u_grid) -> CanonicalMeasure:
 
 @dataclass(frozen=True)
 class InversionIntermediates:
-    """Everything the Delta/K route produces on the way to G.
-
-    K is non-increasing: k_sign records the sign of its increments.
-    """
+    """Everything the Delta/K route produces on the way to G."""
 
     delta_ts: np.ndarray
     delta_values: np.ndarray
     u_grid: np.ndarray
     k_values: np.ndarray
-    taper_span: float
     recovered: CanonicalMeasure
     drift: float
     reconstruction_error: float
-    k_sign: int = -1
+
+    @property
+    def taper_span(self) -> float:
+        """T, where the raised-cosine taper of the K integral reaches 0."""
+        return float(self.delta_ts[-1])
 
     def __post_init__(self):
         _check_conjugate_symmetric(np.asarray(self.delta_values))
-        at_zero = float(
-            np.interp(0.0, np.asarray(self.u_grid), np.asarray(self.k_values))
-        )
+        at_zero = float(np.interp(0.0, np.asarray(self.u_grid), np.asarray(self.k_values)))
         if abs(at_zero) > 1e-9:
             raise ValueError("K(0) must be 0")
 
@@ -828,7 +779,6 @@ def invert_cf(cf: CharacteristicFunctionGrid) -> InversionIntermediates:
         delta_values=dvals,
         u_grid=u_grid,
         k_values=k_values,
-        taper_span=float(ts[-1]),
         recovered=recovered,
         drift=drift,
         reconstruction_error=err,
@@ -842,7 +792,7 @@ def inversion_report(inv: InversionIntermediates) -> dict:
             "delta_span": [float(inv.delta_ts[0]), float(inv.delta_ts[-1])],
             "delta_points": int(inv.delta_ts.size),
         },
-        "window": {"taper_span": inv.taper_span, "k_sign": inv.k_sign},
+        "window": {"taper_span": inv.taper_span, "k_sign": -1},  # K is non-increasing
         "k_samples": {
             "u": [float(u) for u in inv.u_grid],
             "k": [float(k) for k in inv.k_values],
@@ -911,7 +861,6 @@ def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
 
 @dataclass(frozen=True)
 class DeFinettiEntry:
-    epsilon: float
     truncation: TruncationResult
     sup_error: float
 
@@ -944,5 +893,5 @@ def definetti_sequence(
         tr = truncate_cp(law, e)
         approx_cf = np.exp(tr.log_cf(t_grid))
         err = float(np.max(np.abs(approx_cf - ref_cf)))
-        out.append(DeFinettiEntry(epsilon=float(e), truncation=tr, sup_error=err))
+        out.append(DeFinettiEntry(truncation=tr, sup_error=err))
     return out

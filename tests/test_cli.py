@@ -97,6 +97,7 @@ def test_invert_poisson_report(tmp_path, capsys) -> None:
     assert abs(loc - 1.0) < 0.01
     assert abs(mass - 0.5) < 2e-3
     assert doc["window"]["taper_span"] >= 80.0
+    assert doc["window"]["k_sign"] == -1
     assert doc["config"]["t_span"] == 80.0
     assert len(doc["k_samples"]["u"]) == len(doc["k_samples"]["k"])
 

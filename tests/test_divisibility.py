@@ -1,5 +1,7 @@
 """Tests for CF grids, unwrapped logs, convolution roots, and PSD checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,14 +107,41 @@ def test_grid_invariants_enforced() -> None:
     t = np.linspace(-1, 1, 5)
     good = np.exp(-(t**2))
     with pytest.raises(ValueError):
-        # modulus above 1
-        CharacteristicFunctionGrid(t, good * 1.1, np.log(good * 1.1 + 0j))
-    with pytest.raises(ValueError):
-        # log does not exponentiate to values
-        CharacteristicFunctionGrid(t, good, np.zeros(5, dtype=complex))
+        # modulus above 1, which at t=0 also breaks log phi(0) = 0
+        CharacteristicFunctionGrid(t, np.log(good * 1.1 + 0j))
     with pytest.raises(ValueError):
         # asymmetric grid
-        CharacteristicFunctionGrid(np.array([-1, 0, 2.0]), np.ones(3), np.zeros(3))
+        CharacteristicFunctionGrid(np.array([-1, 0, 2.0]), np.zeros(3))
+
+
+def test_grid_stores_only_the_log() -> None:
+    g = build_log_cf_grid(lambda t: -0.5 * t * t + 0.3j * t, 5.0, 11)
+    assert [f.name for f in dataclasses.fields(g)] == ["t_grid", "log_values"]
+    assert np.array_equal(g.values, np.exp(g.log_values))
+
+
+def test_grid_rejects_uneven_t() -> None:
+    # symmetric, odd, 0.0 in the middle and increasing, but not evenly spaced:
+    # step, the Delta prefix sums and delta itself assume an even step
+    t = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    with pytest.raises(ValueError, match="evenly spaced"):
+        CharacteristicFunctionGrid(t, -0.5 * t * t + 0j)
+
+
+def test_grid_rejects_log_modulus_above_one() -> None:
+    t = symmetric_grid(1.0, 5)
+    lv = -0.5 * t * t + 0j
+    lv[-1] = lv[0] = 2e-9
+    with pytest.raises(ValueError, match="modulus exceeds 1"):
+        CharacteristicFunctionGrid(t, lv)
+    lv[-1] = lv[0] = 5e-10
+    assert CharacteristicFunctionGrid(t, lv).log_values[0] == 5e-10
+
+
+def test_grid_rejects_non_hermitian_log() -> None:
+    t = symmetric_grid(1.0, 5)
+    with pytest.raises(ValueError, match="conjugate symmetry"):
+        CharacteristicFunctionGrid(t, -0.5 * t * t + 1j * np.abs(t))
 
 
 def test_grid_tiny_tail_modulus_is_fine() -> None:
@@ -168,7 +197,7 @@ def test_adjacent_phase_increments_below_pi() -> None:
 
 def test_psd_gaussian_three_probes() -> None:
     g = build_cf_grid(gaussian_cf, 10.0, 201)
-    ok, min_eig = psd_check(g, [-1.0, 0.0, 1.0], 1e-8)
+    ok, min_eig = psd_check(g, [-1.0, 0.0, 1.0])
     assert ok
     # eigen-solver oracle on exp(-(tj-tk)^2/2): eigenvalues all positive
     h = np.exp(-np.subtract.outer([-1, 0, 1], [-1, 0, 1]) ** 2 / 2.0)
@@ -177,7 +206,7 @@ def test_psd_gaussian_three_probes() -> None:
 
 def test_psd_constant_cf_rank_deficient() -> None:
     g = build_cf_grid(lambda t: 1.0 + 0j, 5.0, 101)
-    ok, min_eig = psd_check(g, [-2.0, -1.0, 0.0, 1.0, 2.0], 1e-8)
+    ok, min_eig = psd_check(g, [-2.0, -1.0, 0.0, 1.0, 2.0])
     assert ok
     assert abs(min_eig) < 1e-12
 
@@ -190,7 +219,7 @@ def test_psd_rejects_sqrt_of_uniform_law() -> None:
     """
     g = build_cf_grid(uniform_cf, t_max=3.0, points=301)
     root = nth_root(g, 2)
-    ok, min_eig = psd_check(root, [k * 0.5 for k in range(-3, 4)], 1e-8)
+    ok, min_eig = psd_check(root, [k * 0.5 for k in range(-3, 4)])
     assert not ok
     assert min_eig < -0.01
 
@@ -200,22 +229,22 @@ def test_psd_catalog_cfs_pass_default_probes() -> None:
     for cf in (gaussian_cf, poisson_cf, lambda t: np.exp(-abs(t))):
         g = build_cf_grid(cf, 10.0, 201)
         for h in (0.5, 1.0):
-            ok, _ = psd_check(g, [k * h for k in range(-3, 4)], 1e-8)
+            ok, _ = psd_check(g, [k * h for k in range(-3, 4)])
             assert ok
 
 
 def test_psd_probe_out_of_range() -> None:
     g = build_cf_grid(gaussian_cf, 2.0, 41)
     with pytest.raises(ProbeOutOfRange):
-        psd_check(g, [-1.5, 1.5], 1e-8)
+        psd_check(g, [-1.5, 1.5])
 
 
 def test_psd_duplicate_probes_rejected() -> None:
     g = build_cf_grid(gaussian_cf, 2.0, 41)
     with pytest.raises(ValueError):
-        psd_check(g, [0.0, 0.0, 1.0], 1e-8)
+        psd_check(g, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="distinct"):
-        psd_check(g, [1.0, -0.5, 0.0, -0.0], 1e-8)
+        psd_check(g, [1.0, -0.5, 0.0, -0.0])
 
 
 @pytest.mark.parametrize(
@@ -224,7 +253,7 @@ def test_psd_duplicate_probes_rejected() -> None:
 def test_psd_non_finite_probes_rejected(probes) -> None:
     g = build_cf_grid(gaussian_cf, 2.0, 41)
     with pytest.raises(ValueError, match="finite"):
-        psd_check(g, probes, 1e-8)
+        psd_check(g, probes)
 
 
 def log_at_per_t(cf, t) -> complex:
@@ -291,7 +320,7 @@ def test_psd_check_matches_former_interpolation() -> None:
             root = nth_root(cf, n)
             for h in (0.25, 0.5, 1.0 / 3.0):
                 probes = [k * h for k in range(-3, 4)]
-                assert psd_check(root, probes, 1e-8)[1] == psd_min_eig_interp(root, probes)
+                assert psd_check(root, probes)[1] == psd_min_eig_interp(root, probes)
 
 
 # -- verify_infinitely_divisible ----------------------------------------------------
@@ -329,6 +358,30 @@ def test_verify_reports_psd_failure_on_window() -> None:
     assert rep.failures
     n, probes, min_eig = rep.failures[0]
     assert n == 2 and min_eig < -1e-8
+
+
+def test_verify_callable_route_reads_underflow_as_the_end_of_the_grid() -> None:
+    gauss = catalog("gaussian", 0.0, 1.0)
+
+    def cf(t):
+        return np.exp(log_cf_lk(gauss, t))
+
+    g = build_cf_grid(cf, t_max=40.0, points=8001)
+    assert g.t_grid.size == 7433 and g.t_max == pytest.approx(37.16)
+    assert np.array_equal(g.t_grid, symmetric_grid(40.0, 8001)[284:-284])
+    assert verify_infinitely_divisible(cf, t_max=40.0, points=8001).passed
+    # 21 points: phi(+-40) = 0.0, phi(+-36) = e^-648
+    assert build_cf_grid(cf, t_max=40.0, points=21).t_max == 36.0
+    assert verify_infinitely_divisible(cf, t_max=40.0, points=21).passed
+
+
+def test_verify_triangular_cf_still_vanishes() -> None:
+    # max(1 - |t|, 0) is 0 on all of |t| >= 1: a dead run out to both ends
+    # whose last live modulus, 0.05, is nowhere near underflow
+    rep = verify_infinitely_divisible(lambda t: np.maximum(1 - np.abs(t), 0.0))
+    assert not rep.passed
+    assert rep.reason == "CF vanishes at grid point t=-10"
+    assert rep.zero_location == -10.0
 
 
 # -- triangular rows and CSV ---------------------------------------------------------

@@ -49,7 +49,6 @@ from idlaws.khinchin import (
     poisson_gh_family,
     poisson_root_distribution,
     sinc_deficit,
-    small_u_cosine_constant,
     tail_bounds,
     truncate_cp,
 )
@@ -297,8 +296,14 @@ def test_tail_bounds_read_log_at_twice(poisson_family, monkeypatch) -> None:
 
 
 def test_small_u_cosine_constant_is_half() -> None:
-    # (1 - cos u)(1+u^2)/u^2 rises from 1/2 at u=0 to ~0.92 at |u|=1
-    assert abs(small_u_cosine_constant() - 0.5) < 1e-12
+    # tail_bounds divides by 0.5, the min of (1 - cos u)(1+u^2)/u^2 on
+    # |u| <= 1: it rises from its removable value 1/2 at u=0 to ~0.92 at |u|=1
+    u = np.linspace(-1.0, 1.0, 20001)
+    u = u[u != 0.0]
+    vals = 2.0 * np.sin(u / 2.0) ** 2 * (1.0 + u * u) / (u * u)  # 1 - cos u = 2 sin^2(u/2)
+    assert np.all(vals > 0.5) and np.min(vals) - 0.5 < 1e-8
+    assert np.all(np.diff(vals[u > 0.0]) > 0.0)
+    assert np.max(vals) == pytest.approx(4.0 * math.sin(0.5) ** 2)
 
 
 def test_tail_bounds_poisson(poisson_family) -> None:
@@ -312,8 +317,6 @@ def test_tail_bounds_poisson(poisson_family) -> None:
         )
         assert abs(tb.a_h - a_oracle) < 1e-12
         assert abs(tb.b_h - b_oracle) < 1e-12
-        assert tb.c_h == pytest.approx(tb.a_h + tb.b_h)
-        assert tb.c_constant == 0.5
         assert tb.slack_a > 0.0
         assert tb.slack_b > 0.0
 
@@ -866,8 +869,8 @@ def test_invert_tolerates_legal_noise() -> None:
 
 def test_inversion_intermediates_invariants(poisson_inversion) -> None:
     inv = poisson_inversion
-    assert inv.k_sign == -1
     assert abs(float(np.interp(0.0, inv.u_grid, inv.k_values))) < 1e-9
+    assert inv.taper_span == inv.delta_ts[-1]
 
 
 def test_inversion_intermediates_rejects_asymmetric_delta(poisson_inversion) -> None:
@@ -880,7 +883,6 @@ def test_inversion_intermediates_rejects_asymmetric_delta(poisson_inversion) -> 
             delta_values=bad,
             u_grid=inv.u_grid,
             k_values=inv.k_values,
-            taper_span=inv.taper_span,
             recovered=inv.recovered,
             drift=inv.drift,
             reconstruction_error=inv.reconstruction_error,

@@ -1,4 +1,5 @@
-"""Property tests of the batched log-CF kernel on random finite measures."""
+"""Property tests of the batched log-CF kernel, and of the CF grids built
+from it, on random finite measures."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,12 @@ from idlaws.canonical import (
     lk_to_levy,
     log_cf,
     log_cf_lk,
+)
+from idlaws.divisibility import (
+    build_cf_grid,
+    build_log_cf_grid,
+    nth_root,
+    verify_infinitely_divisible,
 )
 from idlaws.measure import CanonicalMeasure
 
@@ -94,3 +101,19 @@ def test_kolmogorov_and_levy_forms_agree_on_atom_laws(atoms, gamma, t_case) -> N
     ref = log_cf_lk(law, ts)
     assert np.max(np.abs(log_cf(lk_to_kolmogorov(law), ts) - ref)) <= 1e-9
     assert np.max(np.abs(log_cf(lk_to_levy(law), ts) - ref)) <= 1e-9
+
+
+@PROPERTY
+@given(measures(), st.floats(min_value=-3.0, max_value=3.0))
+def test_cf_grid_is_its_log(G, gamma) -> None:
+    law = LevyKhintchinePair(gamma=gamma, G=G)
+    grid = build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max=6.0, points=241)
+    assert np.array_equal(grid.values, np.exp(grid.log_values))
+    # the unwrapped log of the sampled CF gives back the sampled log
+    unwrapped = build_cf_grid(lambda t: np.exp(log_cf_lk(law, t)), t_max=6.0, points=241)
+    gap = np.abs(unwrapped.log_values - grid.log_values)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(grid.log_values)))
+    for n in (2, 3, 5):
+        assert np.max(np.abs(nth_root(grid, n).values ** n - grid.values)) <= 1e-12
+    # every such law is infinitely divisible
+    assert verify_infinitely_divisible(grid).passed
