@@ -19,6 +19,7 @@ from .measure import (
     CanonicalMeasure,
     InfiniteWeight,
     _gauss_nodes,
+    _phase_run,
     atom_mass_at,
     combine,
     fourier_transform,
@@ -228,12 +229,12 @@ def inner_gauss_order(width: float, t):
 def _lk_parts(G: CanonicalMeasure):
     """What log_cf_lk needs of G, cached on the (immutable) measure.
 
-    (g0, locs, masses, inner, width, nu, nu_mass, nu_center, nodes): the
+    (g0, locs, masses, inner, width, nu, nu_mass, nu_center, cells): the
     u = 0 atom's mass; the other atoms; G on the cells inside |u| <= 1 (cells
     are cut at -1 and 1) and the widest of them with mass; nu = (1+u^2)/u^2 dG
     on the cells outside (None if they carry no mass), its mass and its
-    centring term; and a dict, filled by log_cf_lk, of the kernel's nodes and
-    weights per Gauss order.
+    centring term; and a dict, filled by log_cf_lk, of the inner cells'
+    kernel tables (_cell_tables) per Gauss order.
     """
     cached = getattr(G, "_lk_cache", None)
     if cached is not None:
@@ -241,8 +242,6 @@ def _lk_parts(G: CanonicalMeasure):
     locs, masses = G._atom_arrays()
     off = locs != 0.0
     inner, width, nu, nu_mass, nu_center = None, 0.0, None, 0.0, 0.0
-    # an atom law's kernel nodes are its atoms, at the lowest order it gets
-    by_order = {} if G.values.size else {_GAUSS_LADDER[0]: (locs[off], masses[off])}
     if G.values.size:
         cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1] and c not in G.edges]
         edges = np.sort(np.concatenate([G.edges, cuts]))
@@ -255,24 +254,76 @@ def _lk_parts(G: CanonicalMeasure):
             nu, nu_center = jump_intensity(CanonicalMeasure.from_density(edges, outer))
             nu_mass = total_mass(nu)
     g0 = float(np.sum(masses[~off]))
-    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, by_order)
+    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, {})
     object.__setattr__(G, "_lk_cache", parts)
     return parts
+
+
+def _cell_tables(inner: CanonicalMeasure, n: int):
+    """The inner cells' Gauss nodes of order n, sorted by |u|, and what the
+    kernel reads of them: (|u|, u, W, W u, moments, first moment), with
+    W = w(1+u^2)/u^2. Column p of moments holds the sums
+    M_k = sum of w(1+u^2) u^(k-2) over the first p nodes, k = 2..17; the
+    first moment is the sum of w u over all nodes.
+    """
+    u, w = _gauss_nodes(inner, n)
+    order = np.argsort(np.abs(u), kind="stable")
+    u, w = u[order], w[order]
+    q = w * (1.0 + u * u)
+    moments = np.zeros((16, u.size + 1))
+    moments[0, 1:] = q
+    for k in range(1, 16):
+        np.multiply(moments[k - 1, 1:], u, out=moments[k, 1:])
+    np.cumsum(moments, axis=1, out=moments)
+    return np.abs(u), u, q / (u * u), q / u, moments, float(np.sum(w * u))
+
+
+def _cell_kernel(ts, tables):
+    """Sum over the inner Gauss nodes of w (exp(itu) - 1 - itu/(1+u^2)) (1+u^2)/u^2
+    at each t of the 1-d ts (sorted tables of _cell_tables).
+
+    The nodes with |tu| < 0.5 are a prefix of the sorted nodes; they take the
+    k = 2..17 series of exp_remainder2 as sums over t^k of prefix moments. The
+    rest take W (-2 sin^2(tu/2)) + i W (sin tu - tu), with sin and cos of tu/2
+    from the phases of measure._phase_run (a recurrence on a uniform run, with
+    its first-order correction, else direct). Every t is reduced on its own,
+    so a t gives the same bits in any array of scattered t.
+    """
+    absu, u, W, Wu, moments, first = tables
+    p = np.searchsorted(absu, 0.5 / np.abs(ts))
+    m = moments[:, p]
+    y = ts * ts
+    re, im = np.zeros_like(ts), np.zeros_like(ts)
+    for j in reversed(range(8)):
+        re = re * y + _REMAINDER_RE[j] * m[2 * j]
+        im = im * y + _REMAINDER_IM[j] * m[2 * j + 1]
+    out = y * re + 1j * ts * (y * im + first)
+    lo = int(p.min())
+    for k, (t, phase, off) in enumerate(_phase_run(ts, 0.5 * u[lo:])):
+        h = phase[p[k] - lo :]
+        z = h * (W[p[k] :] * h.imag)  # W (cos sin + i sin^2) of tu/2
+        sz = z.sum()
+        b, a = sz.real, sz.imag
+        ub, ua = u[p[k] :] @ z.view(float).reshape(-1, 2)
+        # to first order in off: d/dt sin^2 = u cos sin, d/dt cos sin = u (1 - 2 sin^2)/2
+        e = Wu[p[k] :].sum()
+        out[k] += complex(-2.0 * (a + off * ub), 2.0 * (b - off * ua) - (t - off) * e)
+    return out
 
 
 def log_cf_lk(law: LevyKhintchinePair, t):
     """log CF under the general form, at a scalar t or on an array of t.
 
-    The u = 0 atom of G contributes -g0 t^2/2. Other atoms and the Gauss
-    nodes of the cells inside |u| <= 1 take the integrand
+    The u = 0 atom of G contributes -g0 t^2/2. Other atoms take the integrand
     (exp(itu) - 1 - itu/(1+u^2)) * (1+u^2)/u^2 in the cancellation-free
     arrangement t^2 * r(tu) * (1+u^2) + itu (r the stable remainder kernel),
-    summed in (t x node) blocks. The Gauss order of each t is
-    inner_gauss_order(widest inner cell, t), which depends on |t| and G
-    alone, so a t gets the same nodes in a scalar call and in any array.
-    Outside |u| <= 1 the weight is bounded, so the cells there enter through
-    the closed-form Fourier transform of nu = (1+u^2)/u^2 dG, less nu's mass
-    and centring term.
+    summed in (t x node) blocks. The Gauss nodes of the cells inside
+    |u| <= 1 take the same integrand through _cell_kernel. The Gauss order of
+    each t is inner_gauss_order(widest inner cell, t), which depends on |t|
+    and G alone, so a t gets the same nodes in a scalar call and in any
+    array. Outside |u| <= 1 the weight is bounded, so the cells there enter
+    through the closed-form Fourier transform of nu = (1+u^2)/u^2 dG, less
+    nu's mass and centring term.
 
     The log CF is Hermitian, so on a t that mirrors exactly about 0 only the
     t >= 0 half is evaluated (measure.hermitian_fold).
@@ -287,7 +338,7 @@ def log_cf_lk(law: LevyKhintchinePair, t):
 
 def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
     """log_cf_lk on a 1-d t array, every t evaluated."""
-    g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order = _lk_parts(law.G)
+    g0, locs, masses, inner, width, nu, nu_mass, nu_center, cells = _lk_parts(law.G)
     orders = inner_gauss_order(width, ts)
     with np.errstate(all="ignore"):
         out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts
@@ -295,24 +346,21 @@ def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
             sel = orders == n
             if not sel.any():
                 continue
-            if n not in by_order:
-                cell_nodes, cell_weights = _gauss_nodes(inner, n)
-                by_order[n] = (
-                    np.concatenate([locs, cell_nodes]), np.concatenate([masses, cell_weights])
-                )
-            nodes, weights = by_order[n]
-            if not nodes.size:
-                continue
             tn, part = ts[sel], out[sel]
-            cols = min(nodes.size, _KERNEL_BLOCK)
-            rows = max(1, _KERNEL_BLOCK // cols)
-            for j in range(0, nodes.size, cols):
-                u, w = nodes[j : j + cols], weights[j : j + cols]
-                for i in range(0, tn.size, rows):
-                    tb = tn[i : i + rows, None]
-                    tu = tb * u
-                    f = tb * tb * exp_remainder2(tu) * (1.0 + u * u) + 1j * tu
-                    part[i : i + rows] += (f * w).sum(axis=1)
+            if locs.size:
+                cols = min(locs.size, _KERNEL_BLOCK)
+                rows = max(1, _KERNEL_BLOCK // cols)
+                for j in range(0, locs.size, cols):
+                    u, w = locs[j : j + cols], masses[j : j + cols]
+                    for i in range(0, tn.size, rows):
+                        tb = tn[i : i + rows, None]
+                        tu = tb * u
+                        f = tb * tb * exp_remainder2(tu) * (1.0 + u * u) + 1j * tu
+                        part[i : i + rows] += (f * w).sum(axis=1)
+            if width:
+                if n not in cells:
+                    cells[n] = _cell_tables(inner, n)
+                part += _cell_kernel(tn, cells[n])
             out[sel] = part
         if nu is not None:
             out += fourier_transform(nu, ts) - nu_mass - 1j * ts * nu_center

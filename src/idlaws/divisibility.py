@@ -326,7 +326,7 @@ def verify_infinitely_divisible(
             )
         else:
             reason = (
-                f"CF zero-free on the grid; roots {roots} pass "
+                f"CF zero-free on [{-cf.t_max:g}, {cf.t_max:g}]; roots {roots} pass "
                 f"PSD checks on {len(probe_sets)} probe sets"
             )
     return DivisibilityReport(

@@ -888,10 +888,41 @@ def definetti_sequence(
     else:
         ref_log = np.asarray(reference_log_cf(t_grid), dtype=complex)
     ref_cf = np.exp(ref_log)
+    truncations = [truncate_cp(law, e) for e in eps]
     out = []
-    for e in eps:
-        tr = truncate_cp(law, e)
-        approx_cf = np.exp(tr.log_cf(t_grid))
-        err = float(np.max(np.abs(approx_cf - ref_cf)))
+    for tr, log_phi in zip(truncations, _nested_log_cfs(law.G, truncations, t_grid)):
+        err = float(np.max(np.abs(np.exp(log_phi) - ref_cf)))
         out.append(DeFinettiEntry(truncation=tr, sup_error=err))
+    return out
+
+
+def _nested_log_cfs(G: CanonicalMeasure, truncations, t):
+    """TruncationResult.log_cf(t) of each truncation of a law with measure G,
+    the truncations at strictly decreasing epsilon.
+
+    Such truncations are nested: the nu cells beyond the first G edge at or
+    past the previous cutoff (on each side) are the same in both. So
+    lambda psi, the transform of nu, is the previous one less the previous
+    truncation's band inside those edges, plus this truncation's band. An
+    atom law (no edges) calls TruncationResult.log_cf.
+    """
+    if not G.edges.size:
+        return [tr.log_cf(t) for tr in truncations]
+
+    def transform(tr, lo=-np.inf, hi=np.inf):
+        jumps = restrict(tr.jump_distribution, lo, hi)
+        return tr.lambda_eps * hermitian_fold(lambda ts: fourier_transform(jumps, ts), t)
+
+    out, prev = [], None
+    for tr in truncations:
+        if prev is None:
+            lam_psi = transform(tr)
+        else:
+            i = np.searchsorted(G.edges, prev.epsilon)
+            j = np.searchsorted(G.edges, -prev.epsilon, side="right") - 1
+            lo = G.edges[j] if j >= 0 else -np.inf
+            hi = G.edges[i] if i < G.edges.size else np.inf
+            lam_psi = lam_psi - transform(prev, lo, hi) + transform(tr, lo, hi)
+        out.append(1j * tr.drift * t - 0.5 * tr.gaussian_mass * t * t + (lam_psi - tr.lambda_eps))
+        prev = tr
     return out

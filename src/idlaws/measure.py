@@ -447,28 +447,40 @@ def fourier_transform(m: CanonicalMeasure, ts):
     ws = np.concatenate([masses, (m.values * widths)[keep]])
     hw_distinct, which = np.unique(hw, return_inverse=True)
     out = np.empty(tt.shape, dtype=complex)
+    # rows: the weights, and the weights times u for the rounding correction
+    rows = np.stack([ws, ws * us])
+    wk = np.empty_like(rows)
+    for k, (t, phase, off) in enumerate(_phase_run(tt, us)):
+        x = t * hw_distinct
+        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+        np.multiply(rows, sinc[which], out=wk)
+        (re, im), (cre, cim) = wk @ phase.view(float).reshape(-1, 2)
+        out[k] = complex(re - off * cim, im + off * cre)
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _phase_run(tt, us):
+    """(t, phase, off) for each t of the 1-d tt in turn, phase ~ e^{i t us}.
+
+    On a uniform run of 16 or more t the phases advance by a per-step
+    recurrence, re-anchored on a direct exponential every
+    ``_PHASE_ANCHOR_EVERY`` steps; off is the t's rounding off the exact
+    progression from its anchor, and e^{i t us} ~ phase * (1 + i us off) to
+    first order. Any other t gets the direct exponential, and off = 0. The
+    phase array is overwritten by the next step.
+    """
     steps = np.diff(tt)
     uniform = tt.size >= 16 and np.allclose(steps, steps[0], rtol=1e-12)
     every = _PHASE_ANCHOR_EVERY if uniform else 1
     dt = (tt[-1] - tt[0]) / (tt.size - 1) if uniform else 0.0
-    step = np.exp(1j * dt * us)
-    # rows: the weights, and the weights times u for the rounding correction
-    rows = np.stack([ws, ws * us])
-    wk = np.empty_like(rows)
+    step = np.exp(1j * dt * us) if uniform else None
     for k, t in enumerate(tt):
         j = k % every
         if j == 0:
             anchor, phase = t, np.exp(1j * t * us)
         else:
             phase *= step
-        x = t * hw_distinct
-        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-        np.multiply(rows, sinc[which], out=wk)
-        (re, im), (cre, cim) = wk @ phase.view(float).reshape(-1, 2)
-        # e^{iu(t - t')} ~ 1 + iu(t - t') for the grid's rounding t - t'
-        off = (t - anchor) - j * dt
-        out[k] = complex(re - off * cim, im + off * cre)
-    return complex(out[0]) if shape == () else out.reshape(shape)
+        yield t, phase, (t - anchor) - j * dt
 
 
 # -- serialization -----------------------------------------------------------

@@ -375,6 +375,16 @@ def test_verify_callable_route_reads_underflow_as_the_end_of_the_grid() -> None:
     assert verify_infinitely_divisible(cf, t_max=40.0, points=21).passed
 
 
+def test_verify_reason_names_the_span_it_checked() -> None:
+    gauss = catalog("gaussian", 0.0, 1.0)
+    rep = verify_infinitely_divisible(lambda t: np.exp(log_cf_lk(gauss, t)), t_max=40.0, points=8001)
+    assert rep.passed
+    assert rep.reason.startswith("CF zero-free on [-37.16, 37.16]; roots (2, 3, 5) pass")
+    # a grid that reaches its t_max names it
+    rep = verify_infinitely_divisible(lambda t: np.exp(log_cf_lk(gauss, t)), t_max=6.0, points=7)
+    assert rep.reason.startswith("CF zero-free on [-6, 6]; ")
+
+
 def test_verify_triangular_cf_still_vanishes() -> None:
     # max(1 - |t|, 0) is 0 on all of |t| >= 1: a dead run out to both ends
     # whose last live modulus, 0.05, is nowhere near underflow

@@ -955,6 +955,46 @@ def test_definetti_cauchy_decreasing() -> None:
     assert errs[2] < 0.05
 
 
+@pytest.mark.parametrize(
+    "law, epsilons",
+    [
+        # 0.5 and 0.25 fall on the uniform grid's edges, 0.1 and 0.02 do not
+        (catalog("cauchy", 1.0), [0.5, 0.1, 0.02]),
+        (catalog("cauchy", 1.0), [0.75, 0.25, 0.0625, 0.01]),
+        # atoms at 0, -0.6, 0.5 and -2; edges at -1.5, 0.6 and 1.2; a cell across 0
+        (
+            LevyKhintchinePair(
+                gamma=0.7,
+                G=CanonicalMeasure(
+                    atoms=((0.0, 0.3), (-0.6, 0.05), (0.5, 0.2), (-2.0, 0.1)),
+                    edges=[-3.0, -1.5, -0.8, 0.6, 1.2, 4.0],
+                    values=[0.2, 0.0, 0.5, 0.0, 0.3],
+                ),
+            ),
+            [2.0, 1.5, 1.2, 0.8, 0.6, 0.5, 0.3, 0.05],
+        ),
+    ],
+)
+def test_definetti_shares_one_jump_transform(law, epsilons) -> None:
+    """The nested truncations' log CFs agree with each truncation's own
+    log_cf within 1e-13 max(lambda, |log phi|)."""
+    t = symmetric_grid(5.0, 201)
+    truncations = [truncate_cp(law, e) for e in epsilons]
+    for tr, got in zip(truncations, khinchin._nested_log_cfs(law.G, truncations, t)):
+        want = tr.log_cf(t)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(tr.lambda_eps, np.abs(want)))
+
+
+def test_definetti_atom_law_keeps_each_truncations_log_cf() -> None:
+    # an atom law has no edges to share a transform across: same bits as before
+    G = CanonicalMeasure.from_atoms([(-2.0, 0.2), (0.0, 0.1), (0.3, 0.4), (1.5, 0.5)])
+    law = LevyKhintchinePair(gamma=0.2, G=G)
+    t = symmetric_grid(5.0, 201)
+    ref_cf = np.exp(log_cf_lk(law, t))
+    for e in definetti_sequence(law, [2.0, 1.0, 0.2], t_grid=t):
+        assert e.sup_error == float(np.max(np.abs(np.exp(e.truncation.log_cf(t)) - ref_cf)))
+
+
 def test_definetti_epsilons_validated() -> None:
     law = catalog("poisson", 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Property tests of the batched log-CF kernel, and of the CF grids built
-from it, on random finite measures."""
+"""Property tests of the batched log-CF kernel, of the CF grids built from
+it, and of quantiles, on random finite measures."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from idlaws.divisibility import (
     nth_root,
     verify_infinitely_divisible,
 )
-from idlaws.measure import CanonicalMeasure
+from idlaws.measure import CanonicalMeasure, cdf, quantile, total_mass
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -117,3 +117,17 @@ def test_cf_grid_is_its_log(G, gamma) -> None:
         assert np.max(np.abs(nth_root(grid, n).values ** n - grid.values)) <= 1e-12
     # every such law is infinitely divisible
     assert verify_infinitely_divisible(grid).passed
+
+
+@PROPERTY
+@given(
+    measures().filter(lambda m: total_mass(m) > 0),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+)
+def test_cdf_of_quantile_reaches_the_level(G, qs) -> None:
+    q = np.sort(np.array(qs))
+    u = quantile(G, q)
+    # u is the level's quantile rounded to a float, so the cdf reaches the
+    # level at the next float up (q = 5e-92 on a cell starting at -1 gives -1.0)
+    assert np.all(cdf(G, np.nextafter(u, np.inf)) >= q * total_mass(G) * (1.0 - 1e-12))
+    assert np.all(np.diff(u) >= 0.0)
