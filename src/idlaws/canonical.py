@@ -169,6 +169,10 @@ _KERNEL_BLOCK = 1 << 18
 # take from them per unit of their mass (below the rounding of the sum)
 _GAUSS_LADDER = (4, 8, 12, 16, 20)
 _INNER_BUDGET = 1e-16
+# inner Gauss nodes of one order from which _cell_kernel takes them over
+# from the block: its Python per t costs what a block row of 150 to 380
+# nodes does
+_CELL_KERNEL_NODES = 256
 # Gauss-Legendre remainder constants (n!)^4 / ((2n+1) ((2n)!)^3)
 _GL_REMAINDER = {
     n: math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
@@ -229,12 +233,12 @@ def inner_gauss_order(width: float, t):
 def _lk_parts(G: CanonicalMeasure):
     """What log_cf_lk needs of G, cached on the (immutable) measure.
 
-    (g0, locs, masses, inner, width, nu, nu_mass, nu_center, cells): the
+    (g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order): the
     u = 0 atom's mass; the other atoms; G on the cells inside |u| <= 1 (cells
     are cut at -1 and 1) and the widest of them with mass; nu = (1+u^2)/u^2 dG
     on the cells outside (None if they carry no mass), its mass and its
-    centring term; and a dict, filled by log_cf_lk, of the inner cells'
-    kernel tables (_cell_tables) per Gauss order.
+    centring term; and a dict, filled by log_cf_lk, of the block's nodes and
+    weights and the inner cells' _cell_tables (or None) per Gauss order.
     """
     cached = getattr(G, "_lk_cache", None)
     if cached is not None:
@@ -242,6 +246,8 @@ def _lk_parts(G: CanonicalMeasure):
     locs, masses = G._atom_arrays()
     off = locs != 0.0
     inner, width, nu, nu_mass, nu_center = None, 0.0, None, 0.0, 0.0
+    # an atom law's block nodes are its atoms, at the lowest order it gets
+    by_order = {} if G.values.size else {_GAUSS_LADDER[0]: (locs[off], masses[off], None)}
     if G.values.size:
         cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1] and c not in G.edges]
         edges = np.sort(np.concatenate([G.edges, cuts]))
@@ -254,19 +260,18 @@ def _lk_parts(G: CanonicalMeasure):
             nu, nu_center = jump_intensity(CanonicalMeasure.from_density(edges, outer))
             nu_mass = total_mass(nu)
     g0 = float(np.sum(masses[~off]))
-    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, {})
+    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, by_order)
     object.__setattr__(G, "_lk_cache", parts)
     return parts
 
 
-def _cell_tables(inner: CanonicalMeasure, n: int):
-    """The inner cells' Gauss nodes of order n, sorted by |u|, and what the
-    kernel reads of them: (|u|, u, W, W u, moments, first moment), with
+def _cell_tables(u, w):
+    """The inner cells' Gauss nodes u and weights w, sorted by |u|, and what
+    the kernel reads of them: (|u|, u, W, W u, moments, first moment), with
     W = w(1+u^2)/u^2. Column p of moments holds the sums
     M_k = sum of w(1+u^2) u^(k-2) over the first p nodes, k = 2..17; the
     first moment is the sum of w u over all nodes.
     """
-    u, w = _gauss_nodes(inner, n)
     order = np.argsort(np.abs(u), kind="stable")
     u, w = u[order], w[order]
     q = w * (1.0 + u * u)
@@ -318,12 +323,14 @@ def log_cf_lk(law: LevyKhintchinePair, t):
     (exp(itu) - 1 - itu/(1+u^2)) * (1+u^2)/u^2 in the cancellation-free
     arrangement t^2 * r(tu) * (1+u^2) + itu (r the stable remainder kernel),
     summed in (t x node) blocks. The Gauss nodes of the cells inside
-    |u| <= 1 take the same integrand through _cell_kernel. The Gauss order of
-    each t is inner_gauss_order(widest inner cell, t), which depends on |t|
-    and G alone, so a t gets the same nodes in a scalar call and in any
-    array. Outside |u| <= 1 the weight is bounded, so the cells there enter
-    through the closed-form Fourier transform of nu = (1+u^2)/u^2 dG, less
-    nu's mass and centring term.
+    |u| <= 1 join that block while an order has fewer than
+    _CELL_KERNEL_NODES of them, and take the same integrand through
+    _cell_kernel from there on. The Gauss order of each t is
+    inner_gauss_order(widest inner cell, t), which depends on |t| and G
+    alone, so a t gets the same nodes in a scalar call and in any array.
+    Outside |u| <= 1 the weight is bounded, so the cells there enter through
+    the closed-form Fourier transform of nu = (1+u^2)/u^2 dG, less nu's mass
+    and centring term.
 
     The log CF is Hermitian, so on a t that mirrors exactly about 0 only the
     t >= 0 half is evaluated (measure.hermitian_fold).
@@ -338,7 +345,7 @@ def log_cf_lk(law: LevyKhintchinePair, t):
 
 def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
     """log_cf_lk on a 1-d t array, every t evaluated."""
-    g0, locs, masses, inner, width, nu, nu_mass, nu_center, cells = _lk_parts(law.G)
+    g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order = _lk_parts(law.G)
     orders = inner_gauss_order(width, ts)
     with np.errstate(all="ignore"):
         out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts
@@ -346,21 +353,27 @@ def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
             sel = orders == n
             if not sel.any():
                 continue
+            if n not in by_order:
+                cell_nodes, cell_weights = _gauss_nodes(inner, n)
+                if cell_nodes.size >= _CELL_KERNEL_NODES:
+                    by_order[n] = (locs, masses, _cell_tables(cell_nodes, cell_weights))
+                else:
+                    nodes = np.concatenate([locs, cell_nodes])
+                    by_order[n] = (nodes, np.concatenate([masses, cell_weights]), None)
+            nodes, weights, tables = by_order[n]
             tn, part = ts[sel], out[sel]
-            if locs.size:
-                cols = min(locs.size, _KERNEL_BLOCK)
+            if nodes.size:
+                cols = min(nodes.size, _KERNEL_BLOCK)
                 rows = max(1, _KERNEL_BLOCK // cols)
-                for j in range(0, locs.size, cols):
-                    u, w = locs[j : j + cols], masses[j : j + cols]
+                for j in range(0, nodes.size, cols):
+                    u, w = nodes[j : j + cols], weights[j : j + cols]
                     for i in range(0, tn.size, rows):
                         tb = tn[i : i + rows, None]
                         tu = tb * u
                         f = tb * tb * exp_remainder2(tu) * (1.0 + u * u) + 1j * tu
                         part[i : i + rows] += (f * w).sum(axis=1)
-            if width:
-                if n not in cells:
-                    cells[n] = _cell_tables(inner, n)
-                part += _cell_kernel(tn, cells[n])
+            if tables is not None:
+                part += _cell_kernel(tn, tables)
             out[sel] = part
         if nu is not None:
             out += fourier_transform(nu, ts) - nu_mass - 1j * ts * nu_center

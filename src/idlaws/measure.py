@@ -405,7 +405,15 @@ def quantile(m: CanonicalMeasure, q):
     cum_left = np.where(idx > 0, cum[idx - 1], 0.0)
     size = cum[idx] - cum_left
     frac = np.where(size > 0, (target - cum_left) / np.where(size > 0, size, 1.0), 0.0)
-    out = pl[idx] + np.clip(frac, 0.0, 1.0) * (pr[idx] - pl[idx])
+    width = pr[idx] - pl[idx]
+    out = pl[idx] + np.clip(frac, 0.0, 1.0) * width
+    # rounded to nearest, a u inside a cell can land a float short of its
+    # level (q = 5e-92 on a cell from -1 gives -1.0, where the mass below is
+    # 0); such a u moves up one float, and every other u keeps its bits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = cum_left + (out - pl[idx]) / width * size
+    short = (width > 0) & (below < target * (1.0 - 1e-12))
+    out[short] = np.nextafter(out[short], np.inf)
     return float(out[0]) if np.isscalar(q) or np.ndim(q) == 0 else out
 
 

@@ -536,31 +536,50 @@ def test_inner_order_depends_on_t_and_width() -> None:
     assert np.array_equal(inner_gauss_order(0.1, [-3.0, 3.0]), inner_gauss_order(0.1, [3.0, 3.0]))
 
 
-def test_wide_inner_cell_keeps_order_20_bit_for_bit(monkeypatch) -> None:
+def test_wide_inner_cell_keeps_order_20_bit_for_bit() -> None:
     # one cell [-1, 1]: |t| w = 162 at t = 81, beyond every lower order
     G = CanonicalMeasure.from_density([-1.0, 1.0], [0.7])
     law = LevyKhintchinePair(gamma=0.25, G=G)
     ts = np.array([-81.0, -3.5, 0.2, 40.0, 81.0])
+    # the order-20 kernel: 20 Gauss nodes on the cell, one block
+    x, gw = np.polynomial.legendre.leggauss(20)
+    u, w = 0.0 + 1.0 * x, (1.0 * 0.7) * gw
+    want = 1j * 0.25 * ts - 0.5 * 0.0 * ts * ts
+    tb = ts[:, None]
+    f = tb * tb * exp_remainder2(tb * u) * (1.0 + u * u) + 1j * tb * u
+    want += (f * w).sum(axis=1)
     assert np.all(inner_gauss_order(2.0, ts[[0, -1]]) == 20)
     got = log_cf_lk(law, ts)
-    scalar = [log_cf_lk(law, float(ts[k])) for k in (0, -1)]
-    # the oracle: the same law with order 20 at every t
-    monkeypatch.setattr(canonical, "_GAUSS_LADDER", (20,))
-    want = log_cf_lk(law, ts)
-    for k, one in zip((0, -1), scalar):
+    for k in (0, -1):
         assert got[k] == want[k]
-        assert one == want[k]
+        assert log_cf_lk(law, float(ts[k])) == want[k]
 
 
-def test_cauchy_kernel_inner_node_count() -> None:
-    # |t| <= 10 needs order 4 on the 2,048 cells of width 1/1024 in |u| <= 1
+def test_cauchy_kernel_inner_node_count(monkeypatch) -> None:
+    # |t| <= 10 needs order 4 on the 2,048 cells of width 1/1024 in |u| <= 1;
+    # their 8,192 nodes go through _cell_kernel, none through the block
+    seen = {"block": 0, "cells": []}
+    real_cell_kernel = canonical._cell_kernel
+
+    def counted_block(x):
+        seen["block"] += np.size(x)
+        return exp_remainder2(x)
+
+    def counted_cells(ts, tables):
+        seen["cells"].append((np.size(ts), tables[1].size))
+        return real_cell_kernel(ts, tables)
+
+    monkeypatch.setattr(canonical, "exp_remainder2", counted_block)
+    monkeypatch.setattr(canonical, "_cell_kernel", counted_cells)
     law = catalog("cauchy", 1.0)
-    log_cf_lk(law, np.linspace(-10.0, 10.0, 201))
+    log_cf_lk(law, symmetric_grid(10.0, 201))
     log_cf_lk(law, 10.0)
-    cells = canonical._lk_parts(law.G)[-1]
-    assert list(cells) == [4]
-    absu, u = cells[4][:2]
-    assert u.size == 2048 * 4 and np.all(np.diff(absu) >= 0.0)
+    assert seen["block"] == 0
+    assert seen["cells"] == [(101, 2048 * 4), (1, 2048 * 4)]
+    by_order = canonical._lk_parts(law.G)[-1]
+    assert list(by_order) == [4]
+    nodes, _, tables = by_order[4]
+    assert nodes.size == 0 and np.all(np.diff(tables[0]) >= 0.0)
 
 
 def _long_double_cell_kernel(inner, width, ts):
@@ -609,35 +628,54 @@ def test_cauchy_log_cf_on_the_invert_span() -> None:
     assert np.max(np.abs(log_cf_lk(catalog("cauchy", 1.0), ts) + np.abs(ts))) <= 1.3e-5
 
 
-def _atom_block(law, ts):
-    """The atom laws' kernel: one (t x atom) block of exp_remainder2."""
+def _block(law, ts):
+    """The parent's kernel: the atoms and the inner cells' Gauss nodes of
+    each t's order in one (t x node) block of exp_remainder2."""
     locs, masses = law.G._atom_arrays()
     g0 = float(np.sum(masses[locs == 0.0]))
-    u, w = locs[locs != 0.0], masses[locs != 0.0]
-    tb = ts[:, None]
-    f = tb * tb * exp_remainder2(tb * u) * (1.0 + u * u) + 1j * tb * u
-    out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts + (f * w).sum(axis=1)
+    inner, width = canonical._lk_parts(law.G)[3:5]
+    orders = inner_gauss_order(width, ts)
+    out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts
+    for n in np.unique(orders):
+        u, w = locs[locs != 0.0], masses[locs != 0.0]
+        if inner is not None:
+            cell_u, cell_w = _gauss_nodes(inner, int(n))
+            assert cell_u.size < canonical._CELL_KERNEL_NODES
+            u, w = np.concatenate([u, cell_u]), np.concatenate([w, cell_w])
+        tb = ts[orders == n, None]
+        f = tb * tb * exp_remainder2(tb * u) * (1.0 + u * u) + 1j * tb * u
+        out[orders == n] += (f * w).sum(axis=1)
     out[ts == 0.0] = 0.0
     return out
 
 
-ATOM_LAWS = [
+BLOCK_LAWS = [
     catalog("poisson", 1.0, 1.0),
     catalog("poisson", 1.5, -0.7),
     LevyKhintchinePair(
         gamma=-0.3, G=CanonicalMeasure.from_atoms([(-2.0, 0.1), (0.0, 0.4), (0.5, 0.2), (1.5, 0.3)])
     ),
+    # 12 inner cells: at most 240 nodes at every order, fewer than _CELL_KERNEL_NODES
+    LevyKhintchinePair(
+        gamma=0.7,
+        G=CanonicalMeasure(
+            atoms=((0.0, 0.3), (0.5, 0.2), (-2.0, 0.1)),
+            edges=np.linspace(-1.0, 1.0, 13),
+            values=np.full(12, 0.4),
+        ),
+    ),
 ]
 
 
-@pytest.mark.parametrize("law", ATOM_LAWS)
-def test_atom_laws_keep_the_block_code_bit_for_bit(law) -> None:
+@pytest.mark.parametrize("law", BLOCK_LAWS)
+def test_block_laws_keep_the_parents_bits(law) -> None:
+    """Atoms, and inner cells with few nodes, keep the parent's block code."""
     ts = np.linspace(-81.0, 81.0, 3241)
-    assert np.array_equal(log_cf_lk(law, ts), _atom_block(law, ts))
+    assert np.array_equal(log_cf_lk(law, ts), _block(law, ts))
     # on a mirror the t >= 0 half is evaluated
     ts = symmetric_grid(81.0, 3241)
     got = log_cf_lk(law, ts)
-    assert np.array_equal(got[1620:], _atom_block(law, ts[1620:]))
+    assert np.array_equal(got[1620:], _block(law, ts[1620:]))
     assert np.array_equal(got[:1620], np.conj(got[1621:][::-1]))
 
 
@@ -682,10 +720,12 @@ def test_folded_log_cf_matches_direct_evaluation(t) -> None:
 
 @pytest.mark.parametrize("points", [21, 20])
 def test_folded_log_cf_evaluates_half_the_grid(monkeypatch, points) -> None:
-    """Work-count guard: on an n-point mirror the kernel block and the Fourier
-    transform see ceil(n/2) t, in log_cf_lk and in TruncationResult.log_cf."""
-    seen = {"ft": [], "kernel": []}
+    """Work-count guard: on an n-point mirror the kernel block, the inner-cell
+    kernel and the Fourier transform see ceil(n/2) t, in log_cf_lk and in
+    TruncationResult.log_cf."""
+    seen = {"ft": [], "kernel": [], "cells": []}
     real_ft = canonical.fourier_transform
+    real_cell_kernel = canonical._cell_kernel
 
     def counted_ft(m, ts):
         seen["ft"].append(np.size(ts))
@@ -695,9 +735,14 @@ def test_folded_log_cf_evaluates_half_the_grid(monkeypatch, points) -> None:
         seen["kernel"].append(np.shape(x)[0])
         return exp_remainder2(x)
 
+    def counted_cells(ts, tables):
+        seen["cells"].append(np.size(ts))
+        return real_cell_kernel(ts, tables)
+
     monkeypatch.setattr(canonical, "fourier_transform", counted_ft)
     monkeypatch.setattr(khinchin, "fourier_transform", counted_ft)
     monkeypatch.setattr(canonical, "exp_remainder2", counted_kernel)
+    monkeypatch.setattr(canonical, "_cell_kernel", counted_cells)
     t = symmetric_grid(5.0, points)
     half = -(-points // 2)
     log_cf_lk(mixed_law(), t)
@@ -706,11 +751,17 @@ def test_folded_log_cf_evaluates_half_the_grid(monkeypatch, points) -> None:
     seen["ft"].clear()
     truncate_cp(mixed_law(), 0.1).log_cf(t)
     assert seen["ft"] == [half]
+    # the Cauchy inner cells have enough nodes for the inner-cell kernel
+    log_cf_lk(catalog("cauchy", 1.0), t)
+    assert sum(seen["cells"]) == half
     # a grid that is not an exact mirror is evaluated whole
-    seen["ft"].clear()
-    seen["kernel"].clear()
-    log_cf_lk(mixed_law(), np.linspace(-5.0, 4.0, points))
+    for key in seen:
+        seen[key].clear()
+    off_mirror = np.linspace(-5.0, 4.0, points)
+    log_cf_lk(mixed_law(), off_mirror)
     assert sum(seen["ft"]) == points and sum(seen["kernel"]) == points
+    log_cf_lk(catalog("cauchy", 1.0), off_mirror)
+    assert sum(seen["cells"]) == points
 
 
 def test_hermitian_fold_falls_through_off_the_mirror() -> None:

@@ -557,6 +557,15 @@ def test_quantile_atom_plateau() -> None:
     assert quantile(m, 0.99) == 2.0
 
 
+def test_quantile_moves_up_a_float_that_rounds_short() -> None:
+    # -1 + 5.08e-92 rounds to -1.0, where the cdf is 0
+    m = CanonicalMeasure.from_density([-1.0, 0.0], [1.0])
+    u = quantile(m, 5.08e-92)
+    assert u == np.nextafter(-1.0, np.inf) and cdf(m, u) >= 5.08e-92
+    # a u whose cdf reaches its level keeps the rounded value
+    assert quantile(m, np.array([0.25, 0.5])).tolist() == [-0.75, -0.5]
+
+
 def test_fourier_transform_matches_direct() -> None:
     """Uniform-grid fast path agrees with per-point evaluation."""
     m = CanonicalMeasure(
