@@ -23,7 +23,6 @@ from .canonical import (
     LevyTriplet,
     NonFiniteLogCF,
     catalog,
-    cf_compound_poisson,
     kolmogorov_to_lk,
     law_from_json_dict,
     law_to_json_dict,

@@ -19,6 +19,7 @@ from .measure import (
     CanonicalMeasure,
     InfiniteWeight,
     _gauss_nodes,
+    _json_object,
     _phase_run,
     atom_mass_at,
     combine,
@@ -120,8 +121,8 @@ class LevyTriplet:
     N: CanonicalMeasure
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+        if not 0 <= self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be finite and non-negative")
         if mass_between(self.M, 0.0, np.inf) != 0.0:
             raise ValueError("M must have no mass on [0, inf)")
         if mass_between(self.N, -np.inf, 0.0) != 0.0:
@@ -469,12 +470,6 @@ def scale_law(law: LevyKhintchinePair, lam: float) -> LevyKhintchinePair:
 # -- compound Poisson and the catalog ------------------------------------------
 
 
-def cf_compound_poisson(spec: CompoundPoissonSpec, t):
-    """CF exp(rate * (psi(t) - 1)) at t (any shape), psi the jump law's CF."""
-    out = np.exp(spec.rate * (fourier_transform(spec.jump, t) - 1.0))
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 def compound_poisson_to_lk(spec: CompoundPoissonSpec) -> LevyKhintchinePair:
     """The general-form parameters of a compound Poisson law (exact for atoms)."""
     G = scale(
@@ -575,8 +570,8 @@ def law_to_json_dict(law) -> dict:
 
 
 def law_from_json_dict(d: dict):
-    form = d.get("form")
-    measures = d.get("measures", {})
+    form = _json_object(d, "a law").get("form")
+    measures = _json_object(d.get("measures", {}), "measures")
     if form == "lk":
         return LevyKhintchinePair(
             gamma=float(d["gamma"]), G=from_json_dict(measures["G"])

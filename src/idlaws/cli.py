@@ -36,7 +36,7 @@ from .divisibility import (
     verify_infinitely_divisible,
 )
 from .khinchin import definetti_sequence, inversion_report, invert_cf
-from .measure import CanonicalMeasure
+from .measure import CanonicalMeasure, _json_object
 from .simulate import (
     ProcessSpec,
     empirical_cf,
@@ -52,18 +52,35 @@ _POSITIVE_OPTIONS = (
     "t_max", "t_span", "t_step", "epsilon", "horizon", "cf_t_max",
     "points", "steps", "paths", "cf_points",
 )
+# the most t points, path rows or expected jumps of one call, far above any
+# documented use; checked before anything is allocated or written
+MAX_SIZE = 1 << 22
 
 
 class BadOption(ValueError):
     """A numeric command-line option is out of range."""
 
 
+def _invert_points(args):
+    """invert's t points (inf past MAX_SIZE), on a span one wider each side."""
+    half = (args.t_span + 1.0) / args.t_step
+    return 2 * round(half) + 1 if half < MAX_SIZE else math.inf
+
+
 def _check_options(args) -> None:
-    """Reject out-of-range numeric options before any work or artifact write."""
+    """Reject out-of-range numeric options and sizes before any work or write."""
     for name in _POSITIVE_OPTIONS:
         v = getattr(args, name, None)
-        if v is not None and not (math.isfinite(v) and v > 0):
+        if v is not None and not 0 < v < math.inf:
             raise BadOption(f"--{name.replace('_', '-')} must be finite and positive, got {v}")
+    sizes = [(f"--{n.replace('_', '-')}", getattr(args, n, 0)) for n in ("points", "cf_points")]
+    if args.verb == "invert":
+        sizes.append(("the t grid, 2 round((t_span + 1) / t_step) + 1,", _invert_points(args)))
+    if args.verb == "simulate":
+        sizes.append(("the path rows, paths x (steps + 1),", args.paths * (args.steps + 1)))
+    for what, n in sizes:
+        if n > MAX_SIZE:
+            raise BadOption(f"{what} is {n}, above the limit {MAX_SIZE}")
 
 
 def _parse_catalog(text: str) -> LevyKhintchinePair:
@@ -75,10 +92,10 @@ def _parse_catalog(text: str) -> LevyKhintchinePair:
 
 def _load_law_file(path: str) -> LevyKhintchinePair:
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+        d = _json_object(json.load(fh), "a law file")
     if "law" in d and "form" not in d:
         # a convert artifact; unwrap so outputs feed back in as inputs
-        d = d["law"]
+        d = _json_object(d["law"], "law")
     if "compound_poisson" in d:
         cp = d["compound_poisson"]
         spec = CompoundPoissonSpec(
@@ -150,10 +167,8 @@ def _run_convert(args) -> int:
 
 def _run_invert(args) -> int:
     law = _resolve_law(args)
-    # the Delta profile loses one unit of span on each side of the grid
-    t_max = args.t_span + 1.0
-    points = 2 * int(round(t_max / args.t_step)) + 1
-    cf = build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max=t_max, points=points)
+    points = _invert_points(args)
+    cf = build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max=args.t_span + 1.0, points=points)
     inv = invert_cf(cf)
     config = {
         **_law_config(args),
@@ -220,13 +235,18 @@ def _run_simulate(args) -> int:
     spec = ProcessSpec(
         law=law, epsilon=args.epsilon, horizon=args.horizon, seed=args.seed
     )
+    jumps = spec.decomposition.lambda_eps * args.horizon * args.paths
+    if jumps > MAX_SIZE:
+        raise BadOption(f"the expected jump count {jumps:.4g} is above the limit {MAX_SIZE}")
     times = np.linspace(0.0, args.horizon, args.steps + 1)
     paths = [sample_path(spec, times, path_index=p) for p in range(args.paths)]
-    _write_text(_out_path(args, "paths.csv"), paths_to_csv(paths))
+    texts = [(_out_path(args, "paths.csv"), paths_to_csv(paths))]
     if args.cf_out:
         finals = np.array([p.values[-1] for p in paths])
         t_grid = np.linspace(-args.cf_t_max, args.cf_t_max, args.cf_points)
-        _write_text(args.cf_out, empirical_cf_to_csv(empirical_cf(finals, t_grid)))
+        texts.append((args.cf_out, empirical_cf_to_csv(empirical_cf(finals, t_grid))))
+    for path, text in texts:  # written once all are made, so a failure writes none
+        _write_text(path, text)
     return 0
 
 
@@ -307,7 +327,7 @@ def main(argv: Optional[list] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         code = type(exc).__name__
         print(json.dumps({"error": {"code": code, "message": str(exc)}}))
         return 2

@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .measure import _even_step
+
 
 class ZeroCrossing(ValueError):
     """The CF vanishes (or flips sign) somewhere on the grid; log undefined.
@@ -37,15 +39,6 @@ _CSV_BLOCK = 4096
 # adjacent-point phase jumps above this are read as a sign flip through zero;
 # legitimate grids keep increments well below pi (see grid invariant)
 PHASE_FLIP_THRESHOLD = 3.0
-
-
-def _even_step(x: np.ndarray) -> Optional[float]:
-    """The step of an evenly spaced x (0.0 for fewer than two points), else None."""
-    if x.size < 2:
-        return 0.0
-    step = (x[-1] - x[0]) / (x.size - 1)
-    drift = np.max(np.abs(x - (x[0] + step * np.arange(x.size))))
-    return float(step) if drift <= 1e-12 * np.max(np.abs(x)) else None
 
 
 def _check_conjugate_symmetric(f: np.ndarray) -> None:

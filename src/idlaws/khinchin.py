@@ -30,12 +30,11 @@ import numpy as np
 
 from .canonical import LevyKhintchinePair, jump_intensity, log_cf_lk
 from .divisibility import (
-    CharacteristicFunctionGrid, _check_conjugate_symmetric, _even_step, build_cf_grid,
-    symmetric_grid,
+    CharacteristicFunctionGrid, _check_conjugate_symmetric, build_cf_grid, symmetric_grid,
 )
 from .measure import (
-    CanonicalMeasure, _legendre, atom_mass_at, cdf, combine, fourier_transform, hermitian_fold,
-    integrate, mass_between, restrict, reweight, scale, to_json_dict, total_mass,
+    CanonicalMeasure, _even_step, _legendre, atom_mass_at, cdf, combine, fourier_transform,
+    hermitian_fold, integrate, mass_between, restrict, reweight, scale, to_json_dict, total_mass,
 )
 
 
@@ -119,32 +118,24 @@ class GhFamily:
             raise ValueError("h values must be strictly decreasing")
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    @property
-    def mass_bound(self) -> float:
-        """The recorded uniform bound: the largest total mass across entries."""
-        if not self.entries:
-            return 0.0
-        return max(total_mass(g) for _, g in self.entries)
 
+def poisson_root_distribution(h: float) -> CanonicalMeasure:
+    """The h-th convolution root of Poisson(1) with unit jumps: Poisson(h).
 
-def poisson_root_distribution(h: float, rate: float = 1.0, jump: float = 1.0) -> CanonicalMeasure:
-    """The h-th convolution root of Poisson(rate): a Poisson(rate*h) jump count.
-
-    Atoms at k*jump carry e^{-rate h}(rate h)^k / k!; the series is cut when
-    the remaining tail is below 1e-15 (negligible after the 1/h scaling for
-    the h values used here).
+    Atoms at k carry e^{-h} h^k / k!; the series is cut when the remaining
+    tail is below 1e-15 (negligible after the 1/h scaling for the h values
+    used here).
     """
-    lam = rate * h
     atoms = []
-    mass = math.exp(-lam)
+    mass = math.exp(-h)
     total = 0.0
     k = 0
     while total < 1.0 - 1e-15 and k < 400:
         if mass > 0:
-            atoms.append((k * jump, mass))
+            atoms.append((float(k), mass))
         total += mass
         k += 1
-        mass *= lam / k
+        mass *= h / k
     return CanonicalMeasure.from_atoms(atoms)
 
 
@@ -159,26 +150,20 @@ def gaussian_root_distribution(h: float, sigma2: float = 1.0) -> CanonicalMeasur
     return CanonicalMeasure.from_cell_masses(edges, masses, tail_dropped=dropped)
 
 
-def poisson_gh_family(
-    hs: Sequence[float], rate: float = 1.0, jump: float = 1.0
-) -> GhFamily:
-    cf = build_cf_grid(
-        lambda t: np.exp(rate * (np.exp(1j * t * jump) - 1.0)), t_max=5.0, points=1001
-    )
-    entries = tuple(
-        (h, g_h_from_root(poisson_root_distribution(h, rate, jump), h)) for h in hs
-    )
-    return GhFamily(entries=entries, cf=cf)
+def _gh_family(hs: Sequence[float], cf, root_distribution) -> GhFamily:
+    """G_h of root_distribution(h) at each h, with the parent CF on [-5, 5]."""
+    entries = tuple((h, g_h_from_root(root_distribution(h), h)) for h in hs)
+    return GhFamily(entries=entries, cf=build_cf_grid(cf, t_max=5.0, points=1001))
 
 
-def gaussian_gh_family(hs: Sequence[float], sigma2: float = 1.0) -> GhFamily:
-    cf = build_cf_grid(
-        lambda t: np.exp(-0.5 * sigma2 * t * t), t_max=5.0, points=1001
-    )
-    entries = tuple(
-        (h, g_h_from_root(gaussian_root_distribution(h, sigma2), h)) for h in hs
-    )
-    return GhFamily(entries=entries, cf=cf)
+def poisson_gh_family(hs: Sequence[float]) -> GhFamily:
+    """The G_h family of Poisson(1) with unit jumps."""
+    return _gh_family(hs, lambda t: np.exp(np.exp(1j * t) - 1.0), poisson_root_distribution)
+
+
+def gaussian_gh_family(hs: Sequence[float]) -> GhFamily:
+    """The G_h family of the standard Gaussian."""
+    return _gh_family(hs, lambda t: np.exp(-0.5 * t * t), gaussian_root_distribution)
 
 
 # -- I_h and the tail bounds --------------------------------------------------------
@@ -869,25 +854,19 @@ def definetti_sequence(
     law: LevyKhintchinePair,
     epsilons: Sequence[float],
     t_grid=None,
-    reference_log_cf=None,
 ) -> list:
     """Compound-Poisson approximants at decreasing epsilon, with CF errors.
 
     sup_error compares approximant and exact CF values (not exponents) on
-    t_grid. The reference defaults to the law's own evaluation; a closed
-    form may be passed instead (callable t-array -> log CF array).
+    t_grid; the exact CF is the law's own log_cf_lk.
     """
     eps = list(epsilons)
-    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be positive and strictly decreasing")
+    if any(not 0 < e < np.inf for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilons must be finite, positive and strictly decreasing")
     if t_grid is None:
         t_grid = symmetric_grid(5.0, 201)
     t_grid = np.asarray(t_grid, dtype=float)
-    if reference_log_cf is None:
-        ref_log = log_cf_lk(law, t_grid)
-    else:
-        ref_log = np.asarray(reference_log_cf(t_grid), dtype=complex)
-    ref_cf = np.exp(ref_log)
+    ref_cf = np.exp(log_cf_lk(law, t_grid))
     truncations = [truncate_cp(law, e) for e in eps]
     out = []
     for tr, log_phi in zip(truncations, _nested_log_cfs(law.G, truncations, t_grid)):

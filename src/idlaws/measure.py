@@ -8,7 +8,6 @@ freely across workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,6 +24,15 @@ class MissingAtomValue(ValueError):
 
 class InfiniteWeight(ValueError):
     """A reweighting function is unbounded on a cell (or atom) carrying mass."""
+
+
+def _even_step(x: np.ndarray) -> float | None:
+    """The step of an evenly spaced x (0.0 for fewer than two points), else None."""
+    if x.size < 2:
+        return 0.0
+    step = (x[-1] - x[0]) / (x.size - 1)
+    drift = np.max(np.abs(x - (x[0] + step * np.arange(x.size))))
+    return float(step) if drift <= 1e-12 * np.max(np.abs(x)) else None
 
 
 def _as_readonly(a):
@@ -73,8 +81,8 @@ class CanonicalMeasure:
         )
         edges = _as_readonly(self.edges)
         values = _as_readonly(self.values)
-        if edges.size == 1 or edges.size != values.size + (1 if values.size else 0):
-            raise ValueError("edges must have one more entry than values (or both empty)")
+        if edges.ndim != 1 or values.ndim != 1 or edges.size != values.size + bool(values.size):
+            raise ValueError("edges must be 1-d, one entry longer than values (or both empty)")
         for loc, mass in atoms:
             if not np.isfinite(loc) or not np.isfinite(mass):
                 raise ValueError("atom locations and masses must be finite")
@@ -475,13 +483,12 @@ def _phase_run(tt, us):
     ``_PHASE_ANCHOR_EVERY`` steps; off is the t's rounding off the exact
     progression from its anchor, and e^{i t us} ~ phase * (1 + i us off) to
     first order. Any other t gets the direct exponential, and off = 0. The
-    phase array is overwritten by the next step.
+    phase array is overwritten by the next step. Uniform is _even_step's
+    test, whose 1e-12 max|t| leaves jitter the correction can absorb.
     """
-    steps = np.diff(tt)
-    uniform = tt.size >= 16 and np.allclose(steps, steps[0], rtol=1e-12)
-    every = _PHASE_ANCHOR_EVERY if uniform else 1
-    dt = (tt[-1] - tt[0]) / (tt.size - 1) if uniform else 0.0
-    step = np.exp(1j * dt * us) if uniform else None
+    dt = _even_step(tt) if tt.size >= 16 else None
+    every, dt = (_PHASE_ANCHOR_EVERY, dt) if dt is not None else (1, 0.0)
+    step = np.exp(1j * dt * us) if every > 1 else None
     for k, t in enumerate(tt):
         j = k % every
         if j == 0:
@@ -505,18 +512,18 @@ def to_json_dict(m: CanonicalMeasure) -> dict:
     return out
 
 
+def _json_object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
 def from_json_dict(d: dict) -> CanonicalMeasure:
+    grid = _json_object(_json_object(d, "a measure").get("grid", {}), "grid")
     return CanonicalMeasure(
         atoms=tuple((loc, mass) for loc, mass in d.get("atoms", [])),
-        edges=np.asarray(d.get("grid", {}).get("edges", []), dtype=float),
-        values=np.asarray(d.get("grid", {}).get("values", []), dtype=float),
+        edges=np.asarray(grid.get("edges", []), dtype=float),
+        values=np.asarray(grid.get("values", []), dtype=float),
         tail_dropped=d.get("tail_dropped", 0.0),
     )
 
-
-def dumps(m: CanonicalMeasure) -> str:
-    return json.dumps(to_json_dict(m))
-
-
-def loads(s: str) -> CanonicalMeasure:
-    return from_json_dict(json.loads(s))

@@ -1,0 +1,105 @@
+"""Malformed input to the command line: each case exits 2 with a structured
+error and writes no artifact.
+
+Every case runs through cli.main in this process. The oversized ones must be
+refused before any grid or path is built, so the functions that would build
+one fail the test if they are reached.
+"""
+
+import json
+
+import pytest
+
+from idlaws import cli
+
+
+def lk(**G):
+    """A general-form law file whose measure G has the given keys."""
+    return {"form": "lk", "gamma": 0.0, "measures": {"G": G}}
+
+
+OVER = cli.MAX_SIZE + 1  # odd, so only the size limit refuses it
+HUGE = "9" * 400  # an int that no float can hold
+
+# (case id, argv after the verb's law source, law file content or None,
+# oversized: True for the cases the size limit must catch)
+CASES = [
+    ("nan-mass", ["eval"], lk(atoms=[[1.0, float("nan")]]), False),
+    ("inf-value", ["eval"], lk(grid={"edges": [0, 1], "values": [float("inf")]}), False),
+    ("negative-mass", ["eval"], lk(atoms=[[1.0, -0.5]]), False),
+    ("overflowing-mass", ["eval"], lk(atoms=[[1.0, 1e308], [2.0, 1e308]]), False),
+    ("decreasing-edges", ["eval"], lk(grid={"edges": [0, 2, 1], "values": [1, 1]}), False),
+    ("2-d-edges", ["convert", "--to", "levy"], lk(grid={"edges": [[0, 1]], "values": [1]}), False),
+    (
+        "overlapping-grids",
+        ["convert", "--to", "lk"],
+        {"form": "levy", "gamma": 0.0, "measures": {
+            "M": {"grid": {"edges": [-2, -1, 1], "values": [1, 0]}},
+            "N": {"grid": {"edges": [-1, 1, 2], "values": [0, 1]}},
+        }},
+        False,
+    ),
+    (
+        "nan-sigma2",
+        ["convert", "--to", "lk"],
+        {"form": "levy", "gamma": 0.0, "sigma2": float("nan"), "measures": {"M": {}, "N": {}}},
+        False,
+    ),
+    ("top-level-list", ["eval"], [1, 2], False),
+    ("top-level-string", ["eval"], "compound_poisson", False),
+    ("wrapped-law-list", ["eval"], {"law": [1]}, False),
+    ("measures-list", ["eval"], {**lk(), "measures": [1]}, False),
+    ("measure-list", ["eval"], {**lk(), "measures": {"G": [1]}}, False),
+    ("grid-string", ["eval"], lk(grid="abc"), False),
+    ("eval-even-points", ["eval", "--points", "200"], None, False),
+    ("verify-even-points", ["verify-id", "--points", "200"], None, False),
+    ("inf-epsilon", ["approx-cp", "--epsilons", "inf"], None, False),
+    ("huge-root", ["verify-id", "--roots", HUGE], None, False),
+    ("cf-overflow", ["simulate", "--catalog", "poisson:1,1", "--cf-t-max", "5e307"], None, False),
+    ("huge-points", ["eval", "--points", HUGE], None, True),
+    ("eval-points", ["eval", "--points", str(OVER)], None, True),
+    ("eval-points-1e9", ["eval", "--points", "1000000001"], None, True),
+    ("verify-points", ["verify-id", "--points", str(OVER)], None, True),
+    ("approx-cp-points", ["approx-cp", "--epsilons", "0.5", "--points", str(OVER)], None, True),
+    ("invert-step", ["invert", "--t-step", "1e-8"], None, True),
+    ("invert-span", ["invert", "--t-span", "1e308", "--t-step", "1e-300"], None, True),
+    ("cf-points", ["simulate", "--cf-points", str(OVER)], None, True),
+    ("cf-points-1e9", ["simulate", "--cf-points", "1000000000"], None, True),
+    ("steps", ["simulate", "--steps", str(cli.MAX_SIZE)], None, True),
+    ("path-rows", ["simulate", "--paths", "41944", "--steps", "100"], None, True),
+    ("jumps", ["simulate", "--catalog", "cauchy:1", "--epsilon", "1e-9"], None, True),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a grid or path was built before the size check")
+
+
+@pytest.mark.parametrize("argv, law, oversized", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_malformed_input_exits_2_and_writes_nothing(
+    argv, law, oversized, tmp_path, capsys, monkeypatch
+) -> None:
+    if oversized:
+        for name in ("build_log_cf_grid", "symmetric_grid", "sample_path"):
+            monkeypatch.setattr(cli, name, _refuse)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = list(argv)
+    if law is not None:
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law))
+        argv += ["--law", str(path)]
+    elif "--catalog" not in argv:
+        argv += ["--catalog", "gaussian:0,1"]
+    argv += ["--out", str(out / "artifact")]
+    if argv[0] == "simulate":
+        argv += ["--cf-out", str(out / "cf.csv")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert set(error) == {"code", "message"} and error["message"]
+    if oversized:
+        assert error["code"] == "BadOption"
+    assert captured.err == ""
+    assert list(out.iterdir()) == []

@@ -191,12 +191,6 @@ def test_family_requires_decreasing_h() -> None:
         GhFamily(entries=((0.1, g), (-0.01, g)))
 
 
-def test_family_mass_bound(poisson_family) -> None:
-    masses = [total_mass(g) for _, g in poisson_family.entries]
-    assert poisson_family.mass_bound == max(masses)
-    assert GhFamily(entries=()).mass_bound == 0.0
-
-
 # -- I_h --------------------------------------------------------------------------
 
 
@@ -943,10 +937,11 @@ def test_definetti_poisson_exact_for_small_epsilon() -> None:
 
 def test_definetti_cauchy_decreasing() -> None:
     law = catalog("cauchy", 1.0)
-    entries = definetti_sequence(
-        law, [0.5, 0.1, 0.02], reference_log_cf=lambda ts: -np.abs(ts)
-    )
-    errs = [e.sup_error for e in entries]
+    ts = symmetric_grid(5.0, 201)
+    entries = definetti_sequence(law, [0.5, 0.1, 0.02], t_grid=ts)
+    # errors against the closed form -|t|, not the law's own log CF
+    exact = np.exp(-np.abs(ts))
+    errs = [float(np.max(np.abs(np.exp(e.truncation.log_cf(ts)) - exact))) for e in entries]
     assert errs[0] > errs[1] > errs[2]
     # frozen regression values from the default [-5, 5] x 201 grid
     assert errs[0] == pytest.approx(0.188784, abs=1e-4)

@@ -1,24 +1,34 @@
 """Property tests of the batched log-CF kernel, of the CF grids built from
-it, and of quantiles, on random finite measures."""
+it, of quantiles, of the law file format, of time scaling and of sampled
+paths, on random finite measures."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idlaws.canonical import (
+    KolmogorovPair,
     LevyKhintchinePair,
+    LevyTriplet,
+    law_from_json_dict,
+    law_to_json_dict,
     lk_to_kolmogorov,
     lk_to_levy,
     log_cf,
     log_cf_lk,
+    scale_law,
 )
 from idlaws.divisibility import (
     build_cf_grid,
     build_log_cf_grid,
     nth_root,
+    symmetric_grid,
     verify_infinitely_divisible,
 )
-from idlaws.measure import CanonicalMeasure, cdf, quantile, total_mass
+from idlaws.measure import CanonicalMeasure, cdf, quantile, restrict, total_mass
+from idlaws.simulate import ProcessSpec, sample_path
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -129,3 +139,69 @@ def test_cdf_of_quantile_reaches_the_level(G, qs) -> None:
     u = quantile(G, q)
     assert np.all(cdf(G, u) >= q * total_mass(G) * (1.0 - 1e-12))
     assert np.all(np.diff(u) >= 0.0)
+
+
+def same_measure(a: CanonicalMeasure, b: CanonicalMeasure) -> bool:
+    """Bit for bit: atoms, edges, values and the truncation note."""
+    return (
+        a.atoms == b.atoms
+        and a.edges.tobytes() == b.edges.tobytes()
+        and a.values.tobytes() == b.values.tobytes()
+        and a.tail_dropped == b.tail_dropped
+    )
+
+
+gammas = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@PROPERTY
+@given(measures(), gammas, st.floats(min_value=0.0, max_value=2.0))
+def test_law_json_round_trip_is_exact_in_all_three_forms(G, gamma, sigma2) -> None:
+    M = restrict(G, hi=0.0, include_hi=False)
+    N = restrict(G, lo=0.0, include_lo=False)
+    for law in (
+        LevyKhintchinePair(gamma=gamma, G=G),
+        KolmogorovPair(gammaK=gamma, K=G),
+        LevyTriplet(gamma=gamma, sigma2=sigma2, M=M, N=N),
+    ):
+        back = law_from_json_dict(json.loads(json.dumps(law_to_json_dict(law))))
+        assert type(back) is type(law)
+        for name, value in vars(law).items():
+            if isinstance(value, CanonicalMeasure):
+                assert same_measure(getattr(back, name), value)
+            else:
+                assert np.float64(getattr(back, name)).tobytes() == np.float64(value).tobytes()
+
+
+@PROPERTY
+@given(measures(), gammas, st.floats(min_value=0.0, max_value=10.0))
+def test_scale_law_scales_the_log_cf(G, gamma, a) -> None:
+    law = LevyKhintchinePair(gamma=gamma, G=G)
+    t = symmetric_grid(10.0, 201)
+    expect = a * log_cf_lk(law, t)
+    got = log_cf_lk(scale_law(law, a), t)
+    assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+
+
+@PROPERTY
+@given(
+    measures(),
+    gammas,
+    st.floats(min_value=0.05, max_value=1.0),
+    st.integers(min_value=0, max_value=2**63),
+    st.integers(min_value=0, max_value=3),
+)
+def test_sample_path_depends_only_on_seed_and_index(G, gamma, epsilon, seed, index) -> None:
+    law = LevyKhintchinePair(gamma=gamma, G=G)
+    times = np.linspace(0.0, 1.0, 21)
+
+    def spec():
+        return ProcessSpec(law=law, epsilon=epsilon, horizon=1.0, seed=seed)
+
+    alone = sample_path(spec(), times, path_index=index).values
+    shared = spec()
+    for p in range(index):
+        sample_path(shared, times, path_index=p)
+    after_others = sample_path(shared, times, path_index=index).values
+    again = sample_path(spec(), times, path_index=index).values
+    assert alone.tobytes() == after_others.tobytes() == again.tobytes()

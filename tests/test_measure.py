@@ -16,11 +16,9 @@ from idlaws.measure import (
     atom_mass_at,
     cdf,
     combine,
-    dumps,
     fourier_transform,
     from_json_dict,
     integrate,
-    loads,
     mass_between,
     quantile,
     restrict,
@@ -591,10 +589,9 @@ def fourier_transform_per_cell_sinc(m, ts):
     hw = np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]])
     ws = np.concatenate([masses, (m.values * widths)[keep]])
     out = np.empty(tt.shape, dtype=complex)
-    steps = np.diff(tt)
-    uniform = tt.size >= 16 and np.allclose(steps, steps[0], rtol=1e-12)
-    every = measure._PHASE_ANCHOR_EVERY if uniform else 1
-    dt = (tt[-1] - tt[0]) / (tt.size - 1) if uniform else 0.0
+    dt = measure._even_step(tt) if tt.size >= 16 else None
+    uniform = dt is not None
+    every, dt = (measure._PHASE_ANCHOR_EVERY, dt) if uniform else (1, 0.0)
     step = np.exp(1j * dt * us)
     for k, t in enumerate(tt):
         j = k % every
@@ -678,6 +675,18 @@ def test_fourier_transform_far_atom_keeps_phase_on_long_grid() -> None:
     assert np.max(np.abs(fourier_transform(m, ts) - np.exp(1j * ts * 5000.0))) < 1e-12
 
 
+def test_fourier_transform_jittered_grid_takes_direct_exponentials() -> None:
+    """A t run whose points stray 2e-9 off the even progression is not
+    uniform. The recurrence's first-order correction cannot absorb such
+    jitter at u = 1e6 (it erred by 6.2e-6); direct exponentials are exact.
+    """
+    ts = np.linspace(0.0, 1.0, 200) + np.random.default_rng(0).uniform(-2e-9, 2e-9, 200)
+    assert measure._even_step(ts) is None
+    for u in (1e5, 1e6):
+        m = CanonicalMeasure.from_atoms([(u, 1.0)])
+        assert np.max(np.abs(fourier_transform(m, ts) - np.exp(1j * ts * u))) <= 1e-12
+
+
 # -- JSON round trip -------------------------------------------------------------
 
 
@@ -687,12 +696,12 @@ def test_json_round_trip_bit_exact() -> None:
         edges=[-1.0, -0.1, 0.7],
         values=[np.pi, 1e-15],
     )
-    m2 = loads(dumps(m))
+    m2 = from_json_dict(json.loads(json.dumps(to_json_dict(m))))
     assert m2.atoms == m.atoms
     assert np.array_equal(m2.edges, m.edges)
     assert np.array_equal(m2.values, m.values)
     # twice-serialized strings are identical
-    assert dumps(m2) == dumps(m)
+    assert json.dumps(to_json_dict(m2)) == json.dumps(to_json_dict(m))
 
 
 def test_json_schema_shape() -> None:
@@ -711,5 +720,5 @@ def test_tail_dropped_must_be_finite() -> None:
 
 def test_json_preserves_truncation_note() -> None:
     m = CanonicalMeasure.from_density([0.0, 1.0], [1.0], tail_dropped=1e-10)
-    m2 = loads(dumps(m))
+    m2 = from_json_dict(json.loads(json.dumps(to_json_dict(m))))
     assert m2.tail_dropped == 1e-10

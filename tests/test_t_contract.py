@@ -7,7 +7,7 @@ shape, equal to the helper called on each element alone.
 import numpy as np
 import pytest
 
-from idlaws.canonical import CompoundPoissonSpec, catalog, cf_compound_poisson, log_cf_lk
+from idlaws.canonical import catalog, log_cf_lk
 from idlaws.divisibility import build_cf_grid
 from idlaws.khinchin import delta, i_h, truncate_cp
 from idlaws.measure import CanonicalMeasure, fourier_transform
@@ -27,7 +27,6 @@ HELPERS = {
     "log_cf_lk": lambda t: log_cf_lk(CAUCHY, t),
     "TruncationResult.log_cf": truncate_cp(CAUCHY, 0.5).log_cf,
     "fourier_transform": lambda t: fourier_transform(JUMPS, t),
-    "cf_compound_poisson": lambda t: cf_compound_poisson(CompoundPoissonSpec(2.0, JUMPS), t),
     "log_at": GRID.log_at,
     "delta": lambda t: delta(GRID, t),
     "i_h": lambda t: i_h(GRID, 0.01, t),
