@@ -81,6 +81,7 @@ from .simulate import (
     paths_to_csv,
     sample_increments,
     sample_path,
+    sample_paths,
     scaling_check,
     stream_for,
     triangular_array_check,

@@ -42,7 +42,7 @@ from .simulate import (
     empirical_cf,
     empirical_cf_to_csv,
     paths_to_csv,
-    sample_path,
+    sample_paths,
 )
 
 OUTPUT_DIR_ENV = "IDLAWS_OUTPUT_DIR"
@@ -78,6 +78,8 @@ def _check_options(args) -> None:
         sizes.append(("the t grid, 2 round((t_span + 1) / t_step) + 1,", _invert_points(args)))
     if args.verb == "simulate":
         sizes.append(("the path rows, paths x (steps + 1),", args.paths * (args.steps + 1)))
+        if not math.isfinite(2.0 * args.cf_t_max):  # the span of the CF grid
+            raise BadOption(f"--cf-t-max must be below half the largest float, got {args.cf_t_max}")
     for what, n in sizes:
         if n > MAX_SIZE:
             raise BadOption(f"{what} is {n}, above the limit {MAX_SIZE}")
@@ -92,7 +94,10 @@ def _parse_catalog(text: str) -> LevyKhintchinePair:
 
 def _load_law_file(path: str) -> LevyKhintchinePair:
     with open(path, "r", encoding="utf-8") as fh:
-        d = _json_object(json.load(fh), "a law file")
+        try:
+            d = _json_object(json.load(fh), "a law file")
+        except RecursionError:
+            raise ValueError("a law file nests too deeply to parse") from None
     if "law" in d and "form" not in d:
         # a convert artifact; unwrap so outputs feed back in as inputs
         d = _json_object(d["law"], "law")
@@ -239,7 +244,7 @@ def _run_simulate(args) -> int:
     if jumps > MAX_SIZE:
         raise BadOption(f"the expected jump count {jumps:.4g} is above the limit {MAX_SIZE}")
     times = np.linspace(0.0, args.horizon, args.steps + 1)
-    paths = [sample_path(spec, times, path_index=p) for p in range(args.paths)]
+    paths = sample_paths(spec, times, range(args.paths))
     texts = [(_out_path(args, "paths.csv"), paths_to_csv(paths))]
     if args.cf_out:
         finals = np.array([p.values[-1] for p in paths])

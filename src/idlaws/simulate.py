@@ -8,6 +8,7 @@ the sampler carries an explicit, measurable bias that shrinks with epsilon.
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,6 +29,13 @@ _INTERVALS_PER_PATH = 1 << 20
 # (t x sample) elements empirical_cf exponentiates at a time (one row of t if
 # the samples alone are more); 1 MB of complex, which stays in cache
 _CF_BLOCK = 1 << 16
+# (path, interval) pairs whose first Philox block sample_paths computes at a
+# time, which keeps its uint64 temporaries to a few MB
+_SAMPLE_BLOCK = 1 << 16
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
 
 
 def _counter_words(path_index: int, interval_index: int) -> tuple:
@@ -122,19 +130,46 @@ def sample_increments(
     return out
 
 
-def sample_path(spec: ProcessSpec, times, path_index: int = 0) -> PathSample:
-    """X sampled at the given times, one independent stream per interval.
+def _mulhilo(m: int, x: np.ndarray) -> tuple:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _LOW32)
+    x_hi, x_lo = x >> 32, x & _LOW32
+    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    mid = (lo_lo >> 32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    return m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), np.uint64(m) * x
 
-    One bit generator, its counter reset per interval with the buffer emptied,
-    draws what stream_for's streams would, in sample_increments' order; one
-    quantile call maps all jump uniforms, summed per interval in draw order.
+
+def _philox_block(key: Sequence[int], lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Philox4x64-10 at counters (1, 0, lo, hi): a stream at (0, 0, lo, hi) draws these first."""
+    c0, c1, c2, c3 = np.ones_like(lo), np.zeros_like(lo), lo, hi
+    k0, k1 = key
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _LOW64, (k1 + _PHILOX_W[1]) & _LOW64
+    return c0, c1, c2, c3
+
+
+def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> list:
+    """X sampled at the given times on each path, one independent stream per interval.
+
+    Each (path, interval) draws what its stream_for stream would, in
+    sample_increments' order. For lam = lambda_eps * gap < 10 and no Gaussian
+    part, numpy's Poisson counts running products of uniforms above e^-lam,
+    so the stream's first block of four words settles a count of 0 or 1 and
+    its jump uniform; that block is computed for all such intervals at once,
+    _SAMPLE_BLOCK at a time. Every other interval resets one bit generator's
+    counter and draws. One quantile call maps all jump uniforms, summed per
+    interval in draw order.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise BadTimes("times must start at 0")
     if times.size - 1 > _INTERVALS_PER_PATH:
         raise ValueError(f"at most 2^20 intervals per path, got {times.size - 1}")
-    if path_index < 0:
+    paths = [operator.index(p) for p in path_indices]  # Python ints: offsets pass 2^64
+    if any(p < 0 for p in paths):
         raise ValueError("path_index must be non-negative")
     gaps = np.diff(times)
     if gaps.size and np.min(gaps) <= 0:
@@ -145,28 +180,61 @@ def sample_path(spec: ProcessSpec, times, path_index: int = 0) -> PathSample:
     bits = np.random.Philox(key=spec.seed)
     stream, state = np.random.Generator(bits), bits.state
     state["buffer_pos"], state["has_uint32"] = 4, 0
-    inc = dec.drift * gaps
+    key = [int(w) for w in state["state"]["key"]]
+    m = gaps.size
+    inc = np.tile(dec.drift * gaps, len(paths))
     sds = np.sqrt(dec.gaussian_mass * gaps).tolist() if dec.gaussian_mass > 0 else None
-    jumpy, uniforms = [], []
-    for k, lam in enumerate((dec.lambda_eps * gaps).tolist()):
-        state["state"]["counter"] = _counter_words(path_index, k)
-        bits.state = state
-        if sds is not None:
-            inc[k] += stream.normal(0.0, sds[k])
-        n = int(stream.poisson(lam)) if lam > 0 else 0
-        if n:
-            jumpy.append(k)
-            uniforms.append(stream.random(n))
-    if uniforms:
-        jumps = quantile(dec.jump_distribution, np.concatenate(uniforms))
-        counts = np.array([u.size for u in uniforms])
+    lam = dec.lambda_eps * gaps
+    lams = lam.tolist()
+    drawn = (lam > 0) | (sds is not None)
+    quick = drawn & (lam < 10.0) & (sds is None)  # what a first block may settle
+    # e^-lam from libm, as numpy's C code takes it; np.exp may differ by an ulp
+    e_lam = np.array([math.exp(-x) for x in lams])
+    # path offsets in the stream layout; their low 20 bits are 0, so lo + k never carries
+    offsets = [divmod(p * _INTERVALS_PER_PATH % (1 << 128), 1 << 64) for p in paths]
+    hi, lo = np.array(offsets, dtype=np.uint64).reshape(-1, 2).T
+    owners, uniforms = [], []
+    for start in range(0, inc.size, _SAMPLE_BLOCK):
+        j = np.arange(start, min(start + _SAMPLE_BLOCK, inc.size))
+        row, k = np.divmod(j, m)
+        reset, q = drawn[k], quick[k]
+        if q.any():
+            words = _philox_block(key, lo[row[q]] + k[q].astype(np.uint64), hi[row[q]])
+            u0, u1, u2 = ((w >> 11) * 2.0**-53 for w in words[:3])  # next_double
+            e = e_lam[k[q]]
+            one, more = u0 > e, u0 * u1 > e
+            owners.append(j[q][one & ~more])
+            uniforms.append(u2[one & ~more])
+            reset[q] = one & more
+        for jj in j[reset].tolist():
+            p, kk = divmod(jj, m)
+            state["state"]["counter"] = _counter_words(paths[p], kk)
+            bits.state = state
+            if sds is not None:
+                inc[jj] += stream.normal(0.0, sds[kk])
+            n = int(stream.poisson(lams[kk])) if lams[kk] > 0 else 0
+            if n:
+                owners.append(np.full(n, jj))
+                uniforms.append(stream.random(n))
+    owner = np.concatenate([np.zeros(0, dtype=int), *owners])
+    if owner.size:
+        order = np.argsort(owner, kind="stable")
+        jumps = quantile(dec.jump_distribution, np.concatenate(uniforms)[order])
+        counts = np.bincount(owner)
+        jumpy = np.flatnonzero(counts)
+        counts = counts[jumpy]
         first = np.cumsum(counts) - counts
         total = jumps[first]
         for r in range(1, counts.max()):
             total[counts > r] += jumps[first[counts > r] + r]
         inc[jumpy] += total
-    values = np.cumsum(np.concatenate([[0.0], inc]))
-    return PathSample(times=times, values=values)
+    rows = np.concatenate([np.zeros((len(paths), 1)), inc.reshape(len(paths), m)], axis=1)
+    return [PathSample(times=times, values=v) for v in np.cumsum(rows, axis=1)]
+
+
+def sample_path(spec: ProcessSpec, times, path_index: int = 0) -> PathSample:
+    """X sampled at the given times, one independent stream per interval."""
+    return sample_paths(spec, times, [path_index])[0]
 
 
 def empirical_cf(samples, t_grid) -> EmpiricalCF:

@@ -1,9 +1,10 @@
 """Malformed input to the command line: each case exits 2 with a structured
 error and writes no artifact.
 
-Every case runs through cli.main in this process. The oversized ones must be
-refused before any grid or path is built, so the functions that would build
-one fail the test if they are reached.
+Every case runs through cli.main in this process. The oversized ones, and an
+option whose grid would overflow, must be refused before any grid or path is
+built, so the functions that would build one fail the test if they are
+reached.
 """
 
 import json
@@ -21,8 +22,9 @@ def lk(**G):
 OVER = cli.MAX_SIZE + 1  # odd, so only the size limit refuses it
 HUGE = "9" * 400  # an int that no float can hold
 
-# (case id, argv after the verb's law source, law file content or None,
-# oversized: True for the cases the size limit must catch)
+# (case id, argv after the verb's law source, law file content (bytes are
+# written as they are) or None, early: True for the cases the option checks
+# must refuse before anything is built)
 CASES = [
     ("nan-mass", ["eval"], lk(atoms=[[1.0, float("nan")]]), False),
     ("inf-value", ["eval"], lk(grid={"edges": [0, 1], "values": [float("inf")]}), False),
@@ -56,6 +58,10 @@ CASES = [
     ("inf-epsilon", ["approx-cp", "--epsilons", "inf"], None, False),
     ("huge-root", ["verify-id", "--roots", HUGE], None, False),
     ("cf-overflow", ["simulate", "--catalog", "poisson:1,1", "--cf-t-max", "5e307"], None, False),
+    ("deep-nesting", ["eval"], b"[" * 100_000, False),
+    ("negative-seed", ["simulate", "--catalog", "poisson:1,1", "--seed", "-1"], None, False),
+    ("seed-2^128", ["simulate", "--catalog", "poisson:1,1", "--seed", str(1 << 128)], None, False),
+    ("cf-span-overflow", ["simulate", "--catalog", "poisson:1,1", "--cf-t-max", "1e308"], None, True),
     ("huge-points", ["eval", "--points", HUGE], None, True),
     ("eval-points", ["eval", "--points", str(OVER)], None, True),
     ("eval-points-1e9", ["eval", "--points", "1000000001"], None, True),
@@ -72,22 +78,22 @@ CASES = [
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a grid or path was built before the size check")
+    raise AssertionError("a grid or path was built before the option checks")
 
 
-@pytest.mark.parametrize("argv, law, oversized", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("argv, law, early", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_malformed_input_exits_2_and_writes_nothing(
-    argv, law, oversized, tmp_path, capsys, monkeypatch
+    argv, law, early, tmp_path, capsys, monkeypatch
 ) -> None:
-    if oversized:
-        for name in ("build_log_cf_grid", "symmetric_grid", "sample_path"):
+    if early:
+        for name in ("build_log_cf_grid", "symmetric_grid", "sample_paths"):
             monkeypatch.setattr(cli, name, _refuse)
     out = tmp_path / "out"
     out.mkdir()
     argv = list(argv)
     if law is not None:
         path = tmp_path / "law.json"
-        path.write_text(json.dumps(law))
+        path.write_bytes(law if isinstance(law, bytes) else json.dumps(law).encode())
         argv += ["--law", str(path)]
     elif "--catalog" not in argv:
         argv += ["--catalog", "gaussian:0,1"]
@@ -99,7 +105,7 @@ def test_malformed_input_exits_2_and_writes_nothing(
     assert code == 2
     error = json.loads(captured.out)["error"]
     assert set(error) == {"code", "message"} and error["message"]
-    if oversized:
+    if early:
         assert error["code"] == "BadOption"
     assert captured.err == ""
     assert list(out.iterdir()) == []

@@ -21,6 +21,7 @@ from idlaws.simulate import (
     paths_to_csv,
     sample_increments,
     sample_path,
+    sample_paths,
     scaling_check,
     stream_for,
     triangular_array_check,
@@ -45,10 +46,7 @@ MIXED_LAW = LevyKhintchinePair(
 def mixed_increments():
     spec = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=4.0, seed=10)
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5])
-    n_paths = 10_000
-    vals = np.empty((n_paths, times.size))
-    for p in range(n_paths):
-        vals[p] = sample_path(spec, times, path_index=p).values
+    vals = np.array([p.values for p in sample_paths(spec, times, range(10_000))])
     # columns: [0,.5], [.5,1.5], [1.5,2], [2,2.5], [2.5,3.5]
     return np.diff(vals, axis=1)
 
@@ -84,6 +82,17 @@ def _plain(state):
     if isinstance(state, dict):
         return {k: _plain(v) for k, v in state.items()}
     return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("key", [0, 3, (1 << 64) + 5, (1 << 128) - 1])
+def test_philox_block_matches_numpy(key) -> None:
+    low = [0, 1, 5, (1 << 63) + 11, (1 << 64) - 1]
+    lo, hi = np.array([(a, b) for a in low for b in (0, (1 << 64) - 1)], dtype=np.uint64).T
+    key_words = [int(w) for w in np.random.Philox(key=key).state["state"]["key"]]
+    got = np.array(simulate._philox_block(key_words, lo, hi)).T
+    for g, a, b in zip(got, lo, hi):
+        want = np.random.Philox(key=key, counter=np.array([0, 0, a, b], dtype=np.uint64))
+        assert np.array_equal(g, want.random_raw(4))
 
 
 @pytest.mark.parametrize(
@@ -206,19 +215,66 @@ SAMPLER_CASES = {
     "uneven-times": (MIXED_LAW, 0.01, _UNEVEN, range(10)),
     "far-paths": (catalog("poisson", 2.0, 3.0), 0.5, np.linspace(0.0, 3.0, 31), _FAR),
     "one-time": (MIXED_LAW, 0.01, np.array([0.0]), range(2)),
+    # lam * gap = 3: about one interval in five is settled by its first block
+    "poisson-3-per-interval": (
+        catalog("poisson", 3.0, 1.0), 0.5, np.linspace(0.0, 10.0, 11), range(10)
+    ),
+    "chunked": (catalog("poisson", 3.0, 1.0), 0.5, np.linspace(0.0, 10.0, 11), range(5)),
+    "chunked-mixed": (MIXED_LAW, 0.01, _UNEVEN, range(3)),
 }
+# cases sampled 7 (path, interval) pairs at a time, so chunks split paths
+SMALL_CHUNKS = {"chunked", "chunked-mixed"}
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+# 2^64 + 3 gives the Philox key a non-zero high word
+@pytest.mark.parametrize("seed", [1, 2, (1 << 64) + 3])
 @pytest.mark.parametrize("case", list(SAMPLER_CASES))
-def test_sample_path_matches_per_interval_streams(case, seed) -> None:
+def test_sample_path_matches_per_interval_streams(case, seed, monkeypatch) -> None:
     law, eps, times, paths = SAMPLER_CASES[case]
+    if case in SMALL_CHUNKS:
+        monkeypatch.setattr(simulate, "_SAMPLE_BLOCK", 7)
     spec = ProcessSpec(law=law, epsilon=eps, horizon=float(times[-1]) or 1.0, seed=seed)
-    got = [sample_path(spec, times, path_index=p) for p in paths]
     want = [reference_path(spec, times, path_index=p) for p in paths]
-    assert paths_to_csv(got) == paths_to_csv(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+    together = sample_paths(spec, times, paths)
+    one_by_one = [sample_path(spec, times, path_index=p) for p in paths]
+    for got in (together, one_by_one):
+        assert paths_to_csv(got) == paths_to_csv(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+
+
+def test_sample_paths_takes_numpy_path_indices() -> None:
+    spec = ProcessSpec(law=catalog("poisson", 3.0, 1.0), epsilon=0.5, horizon=2.0, seed=5)
+    times = np.linspace(0.0, 2.0, 5)
+    got = sample_paths(spec, times, np.arange(3, 6, dtype=np.uint64))
+    assert paths_to_csv(got) == paths_to_csv(sample_paths(spec, times, [3, 4, 5]))
+    with pytest.raises(TypeError):
+        sample_paths(spec, times, [1.0])
+
+
+def _resets(monkeypatch, spec, times, paths) -> int:
+    """Counter resets, one per interval that its first Philox block leaves open."""
+    calls, counter_words = [0], simulate._counter_words
+
+    def counted(*args):
+        calls[0] += 1
+        return counter_words(*args)
+
+    monkeypatch.setattr(simulate, "_counter_words", counted)
+    sample_paths(spec, times, paths)
+    return calls[0]
+
+
+def test_first_blocks_settle_most_intervals(monkeypatch) -> None:
+    # the simulate calls of the benchmark workloads, at seed 3: 40,000 and
+    # 8,000 intervals, with lam * gap 0.01 and about 0.16
+    atomic = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=10.0, seed=3)
+    assert _resets(monkeypatch, atomic, np.linspace(0.0, 10.0, 1001), range(40)) <= 40
+    heavy = ProcessSpec(law=catalog("cauchy", 1.0), epsilon=0.02, horizon=1.0, seed=3)
+    assert _resets(monkeypatch, heavy, np.linspace(0.0, 1.0, 201), range(40)) <= 200
+    # a Gaussian part is drawn first, so every interval resets
+    mixed = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=3.5, seed=3)
+    assert _resets(monkeypatch, mixed, [0.0, 0.5, 1.5, 2.0, 2.5, 3.5], range(20)) == 100
 
 
 def test_sample_path_uses_one_generator_and_one_quantile(monkeypatch) -> None:
