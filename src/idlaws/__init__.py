@@ -72,7 +72,6 @@ from .khinchin import (
 from .simulate import (
     BadTimes,
     EmpiricalCF,
-    PathSample,
     ProcessSpec,
     ScalingReport,
     TriangularArrayReport,
@@ -80,7 +79,6 @@ from .simulate import (
     empirical_cf_to_csv,
     paths_to_csv,
     sample_increments,
-    sample_path,
     sample_paths,
     scaling_check,
     stream_for,

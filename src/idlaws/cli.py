@@ -244,12 +244,11 @@ def _run_simulate(args) -> int:
     if jumps > MAX_SIZE:
         raise BadOption(f"the expected jump count {jumps:.4g} is above the limit {MAX_SIZE}")
     times = np.linspace(0.0, args.horizon, args.steps + 1)
-    paths = sample_paths(spec, times, range(args.paths))
-    texts = [(_out_path(args, "paths.csv"), paths_to_csv(paths))]
+    values = sample_paths(spec, times, range(args.paths))
+    texts = [(_out_path(args, "paths.csv"), paths_to_csv(times, values))]
     if args.cf_out:
-        finals = np.array([p.values[-1] for p in paths])
         t_grid = np.linspace(-args.cf_t_max, args.cf_t_max, args.cf_points)
-        texts.append((args.cf_out, empirical_cf_to_csv(empirical_cf(finals, t_grid))))
+        texts.append((args.cf_out, empirical_cf_to_csv(empirical_cf(values[:, -1], t_grid))))
     for path, text in texts:  # written once all are made, so a failure writes none
         _write_text(path, text)
     return 0

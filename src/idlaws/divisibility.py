@@ -9,7 +9,6 @@ probe sets; a zero crossing or a negative Gram eigenvalue is a refutation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,8 +32,18 @@ class ProbeOutOfRange(ValueError):
     """A probe difference t_j - t_k falls outside the grid span."""
 
 
-# rows grid_to_csv formats per block
+# rows _csv_text formats per block, so only one block's Python values are alive
 _CSV_BLOCK = 4096
+
+
+def _csv_text(header: str, *columns) -> str:
+    """The header line, then a row of reprs per index of the equal-length 1-d columns."""
+    blocks = [header]
+    for i in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [map(repr, c[i : i + _CSV_BLOCK].tolist()) for c in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(blocks + [""])
+
 
 # adjacent-point phase jumps above this are read as a sign flip through zero;
 # legitimate grids keep increments well below pi (see grid invariant)
@@ -333,12 +342,5 @@ def verify_infinitely_divisible(
 
 def grid_to_csv(cf: CharacteristicFunctionGrid) -> str:
     """CSV text with columns t, re, im, log_re, log_im."""
-    values = cf.values
-    cols = (cf.t_grid, values.real, values.imag, cf.log_values.real, cf.log_values.imag)
-    buf = io.StringIO()
-    buf.write("t,re,im,log_re,log_im\n")
-    # a block of rows at a time, so only one block's Python floats are alive
-    for i in range(0, cf.t_grid.size, _CSV_BLOCK):
-        rows = zip(*(c[i : i + _CSV_BLOCK].tolist() for c in cols))
-        buf.write("".join(f"{t!r},{r!r},{i!r},{lr!r},{li!r}\n" for t, r, i, lr, li in rows))
-    return buf.getvalue()
+    v, lv = cf.values, cf.log_values
+    return _csv_text("t,re,im,log_re,log_im", cf.t_grid, v.real, v.imag, lv.real, lv.imag)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import LevyKhintchinePair, jump_intensity, log_cf_lk
+from .canonical import LevyKhintchinePair, NonFiniteLogCF, jump_intensity, log_cf_lk
 from .divisibility import (
     CharacteristicFunctionGrid, _check_conjugate_symmetric, build_cf_grid, symmetric_grid,
 )
@@ -804,8 +804,12 @@ class TruncationResult:
     def log_cf(self, t):
         """Exponent of the assembled approximant CF at t (scalar or array);
         on a t that mirrors exactly about 0 only the t >= 0 half is evaluated
-        (measure.hermitian_fold)."""
-        out = hermitian_fold(self._log_cf, np.asarray(t, dtype=float))
+        (measure.hermitian_fold). Raises NonFiniteLogCF, as log_cf_lk does, if one is not."""
+        with np.errstate(all="ignore"):
+            out = hermitian_fold(self._log_cf, np.asarray(t, dtype=float))
+        if not np.all(np.isfinite(out)):
+            bad = float(np.ravel(t)[np.argmin(np.isfinite(out))])
+            raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
         return out if out.shape else complex(out)
 
     def _log_cf(self, t):

@@ -402,7 +402,7 @@ def _quantile_pieces(m: CanonicalMeasure):
 def quantile(m: CanonicalMeasure, q):
     """Inverse of the cumulative function: smallest u with G(u) >= q * total."""
     qq = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any((qq < 0) | (qq > 1)):
+    if not np.all((qq >= 0) & (qq <= 1)):  # NaN levels fail this too
         raise ValueError("quantile levels must lie in [0, 1]")
     pl, pr, cum = _quantile_pieces(m)
     if not cum.size:

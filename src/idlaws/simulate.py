@@ -6,7 +6,6 @@ decomposition of the truncated law; jumps below epsilon are discarded, so
 the sampler carries an explicit, measurable bias that shrinks with epsilon.
 """
 
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import LevyKhintchinePair, log_cf_lk, scale_law
+from .divisibility import _csv_text
 from .khinchin import TruncationResult, truncate_cp
 from .measure import quantile
 
@@ -52,6 +52,7 @@ def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
     draws for different keys never correlate. Each path owns 2^20 interval
     slots.
     """
+    path_index, interval_index = operator.index(path_index), operator.index(interval_index)
     if not 0 <= interval_index < _INTERVALS_PER_PATH:
         raise ValueError("interval_index must lie in [0, 2^20)")
     if path_index < 0:
@@ -79,20 +80,6 @@ class ProcessSpec:
     @cached_property
     def decomposition(self) -> TruncationResult:
         return truncate_cp(self.law, self.epsilon)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have matching lengths")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -151,8 +138,9 @@ def _philox_block(key: Sequence[int], lo: np.ndarray, hi: np.ndarray) -> tuple:
     return c0, c1, c2, c3
 
 
-def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> list:
-    """X sampled at the given times on each path, one independent stream per interval.
+def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.ndarray:
+    """X sampled at the given times on each path, one independent stream per interval:
+    row r of the (len(path_indices), len(times)) array is the path of path_indices[r].
 
     Each (path, interval) draws what its stream_for stream would, in
     sample_increments' order. For lam = lambda_eps * gap < 10 and no Gaussian
@@ -172,7 +160,7 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> list:
     if any(p < 0 for p in paths):
         raise ValueError("path_index must be non-negative")
     gaps = np.diff(times)
-    if gaps.size and np.min(gaps) <= 0:
+    if not np.all(gaps > 0):  # a NaN gap fails this too
         raise BadTimes("times must be strictly increasing")
     if times[-1] > spec.horizon:
         raise BadTimes(f"times end at {times[-1]}, beyond horizon {spec.horizon}")
@@ -229,12 +217,7 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> list:
             total[counts > r] += jumps[first[counts > r] + r]
         inc[jumpy] += total
     rows = np.concatenate([np.zeros((len(paths), 1)), inc.reshape(len(paths), m)], axis=1)
-    return [PathSample(times=times, values=v) for v in np.cumsum(rows, axis=1)]
-
-
-def sample_path(spec: ProcessSpec, times, path_index: int = 0) -> PathSample:
-    """X sampled at the given times, one independent stream per interval."""
-    return sample_paths(spec, times, [path_index])[0]
+    return np.cumsum(rows, axis=1)
 
 
 def empirical_cf(samples, t_grid) -> EmpiricalCF:
@@ -374,18 +357,17 @@ def triangular_array_check(
 # -- CSV artifacts -----------------------------------------------------------------
 
 
-def paths_to_csv(paths: Sequence[PathSample]) -> str:
-    """CSV text with columns path_id, time, value."""
-    buf = io.StringIO()
-    buf.write("path_id,time,value\n")
-    for pid, p in enumerate(paths):
-        rows = zip(p.times.tolist(), p.values.tolist())
-        buf.write("".join(f"{pid},{t!r},{v!r}\n" for t, v in rows))
-    return buf.getvalue()
+def paths_to_csv(times, values) -> str:
+    """CSV text with columns path_id, time, value; row r of values is path r at times."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not (times.ndim == 1 and values.ndim == 2 and values.shape[1] == times.size):
+        raise ValueError("values must be 2-d with one column per time")
+    ids = np.repeat(np.arange(len(values)), times.size)
+    return _csv_text("path_id,time,value", ids, np.tile(times, len(values)), values.ravel())
 
 
 def empirical_cf_to_csv(ecf: EmpiricalCF) -> str:
     """CSV text with columns t, re, im, half_width."""
-    cols = (ecf.t_grid, ecf.estimates.real, ecf.estimates.imag, ecf.half_widths)
-    rows = zip(*(c.tolist() for c in cols))
-    return "t,re,im,half_width\n" + "".join(f"{t!r},{r!r},{i!r},{w!r}\n" for t, r, i, w in rows)
+    e = ecf.estimates
+    return _csv_text("t,re,im,half_width", ecf.t_grid, e.real, e.imag, ecf.half_widths)

@@ -10,6 +10,7 @@ from scipy.stats import norm
 from idlaws.canonical import (
     CompoundPoissonSpec,
     LevyKhintchinePair,
+    NonFiniteLogCF,
     catalog,
     log_cf_lk,
 )
@@ -917,6 +918,18 @@ def test_truncate_cauchy_rate() -> None:
     assert abs(tr.lambda_eps - 20.0 / math.pi) < 1e-4
     assert abs(tr.drift) < 1e-9
     assert tr.gaussian_mass == 0.0
+
+
+@pytest.mark.parametrize("law", [catalog("poisson", 1.0, 1.0), catalog("cauchy", 1.0)])
+def test_truncation_log_cf_rejects_non_finite_t(law) -> None:
+    tr = truncate_cp(law, 0.5)
+    nan, inf = math.nan, math.inf
+    for t in (nan, inf, np.array([0.0, 1.0, -inf]), np.array([-1.0, 0.0, 1.0, nan])):
+        with pytest.raises(NonFiniteLogCF) as want:
+            log_cf_lk(law, t)
+        with pytest.raises(NonFiniteLogCF) as got:
+            tr.log_cf(t)
+        assert str(got.value) == str(want.value)
 
 
 def test_truncate_requires_positive_epsilon() -> None:

@@ -28,7 +28,7 @@ from idlaws.divisibility import (
     verify_infinitely_divisible,
 )
 from idlaws.measure import CanonicalMeasure, cdf, quantile, restrict, total_mass
-from idlaws.simulate import ProcessSpec, sample_path
+from idlaws.simulate import ProcessSpec, sample_paths
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -198,10 +198,10 @@ def test_sample_path_depends_only_on_seed_and_index(G, gamma, epsilon, seed, ind
     def spec():
         return ProcessSpec(law=law, epsilon=epsilon, horizon=1.0, seed=seed)
 
-    alone = sample_path(spec(), times, path_index=index).values
+    alone = sample_paths(spec(), times, [index])[0]
     shared = spec()
     for p in range(index):
-        sample_path(shared, times, path_index=p)
-    after_others = sample_path(shared, times, path_index=index).values
-    again = sample_path(spec(), times, path_index=index).values
+        sample_paths(shared, times, [p])
+    after_others = sample_paths(shared, times, [index])[0]
+    again = sample_paths(spec(), times, [index])[0]
     assert alone.tobytes() == after_others.tobytes() == again.tobytes()

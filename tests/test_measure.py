@@ -505,6 +505,14 @@ def test_quantile_uniform() -> None:
     assert np.allclose(qs, [0.1, 0.5, 0.9], atol=1e-12)
 
 
+def test_quantile_rejects_levels_outside_the_unit_interval() -> None:
+    m = unit_density()
+    for q in (-0.1, 1.5, math.nan, np.array([0.5, math.nan]), np.array([math.inf])):
+        with pytest.raises(ValueError, match="must lie in"):
+            quantile(m, q)
+    assert quantile(m, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
 def quantile_pieces_atom_split(m):
     """Reference: the cumulative pieces, the cell list re-split once per atom."""
     events = []

@@ -13,14 +13,12 @@ from idlaws.simulate import (
     KS_CRITICAL_1PCT,
     BadTimes,
     EmpiricalCF,
-    PathSample,
     ProcessSpec,
     empirical_cf,
     empirical_cf_to_csv,
     ks_statistic,
     paths_to_csv,
     sample_increments,
-    sample_path,
     sample_paths,
     scaling_check,
     stream_for,
@@ -46,7 +44,7 @@ MIXED_LAW = LevyKhintchinePair(
 def mixed_increments():
     spec = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=4.0, seed=10)
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5])
-    vals = np.array([p.values for p in sample_paths(spec, times, range(10_000))])
+    vals = sample_paths(spec, times, range(10_000))
     # columns: [0,.5], [.5,1.5], [1.5,2], [2,2.5], [2.5,3.5]
     return np.diff(vals, axis=1)
 
@@ -66,8 +64,10 @@ def test_process_spec_validation() -> None:
 
 
 def test_path_sample_length_mismatch() -> None:
-    with pytest.raises(ValueError):
-        PathSample(times=np.array([0.0, 1.0]), values=np.array([0.0]))
+    times = np.array([0.0, 1.0])
+    for values in (np.array([[0.0]]), np.zeros((2, 3)), np.zeros(2), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="one column per time"):
+            paths_to_csv(times, values)
 
 
 def test_stream_for_is_deterministic() -> None:
@@ -76,6 +76,18 @@ def test_stream_for_is_deterministic() -> None:
     assert np.array_equal(a, b)
     c = stream_for(42, 3, 6).normal(size=4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("path, interval", [(3, 5), ((1 << 63) + 3, (1 << 20) - 1)])
+def test_stream_for_takes_numpy_indices(path, interval) -> None:
+    want = stream_for(42, path, interval).integers(0, 1 << 62, size=9)
+    for kind in (np.int64, np.uint64):
+        if not np.iinfo(kind).min <= path <= np.iinfo(kind).max:
+            continue
+        got = stream_for(42, kind(path), kind(interval)).integers(0, 1 << 62, size=9)
+        assert np.array_equal(got, want)
+    with pytest.raises(TypeError):
+        stream_for(42, 3.0, 5)
 
 
 def _plain(state):
@@ -146,37 +158,49 @@ def test_increments_reject_bad_duration(poisson_spec) -> None:
 
 def test_path_reproducibility(poisson_spec) -> None:
     times = np.linspace(0.0, 2.0, 9)
-    a = sample_path(poisson_spec, times)
-    b = sample_path(poisson_spec, times)
-    assert np.array_equal(a.values, b.values)
+    a = sample_paths(poisson_spec, times, [0])
+    b = sample_paths(poisson_spec, times, [0])
+    assert a.shape == (1, 9) and np.array_equal(a, b)
     other = ProcessSpec(
         law=poisson_spec.law, epsilon=poisson_spec.epsilon, horizon=2.0, seed=8
     )
-    assert not np.array_equal(a.values, sample_path(other, times).values)
+    assert not np.array_equal(a, sample_paths(other, times, [0]))
 
 
 def test_drift_only_path_exact() -> None:
     spec = ProcessSpec(law=catalog("gaussian", 0.7, 0.0), epsilon=0.1, horizon=3.0, seed=0)
-    p = sample_path(spec, np.array([0.0, 1.0, 2.0]))
-    assert np.allclose(p.values, [0.0, 0.7, 1.4], atol=1e-15)
+    p = sample_paths(spec, np.array([0.0, 1.0, 2.0]), [0])[0]
+    assert np.allclose(p, [0.0, 0.7, 1.4], atol=1e-15)
 
 
 def test_poisson_paths_nondecreasing_unit_jumps(poisson_spec) -> None:
     times = np.linspace(0.0, 2.0, 9)
-    for p in range(1000):
-        path = sample_path(poisson_spec, times, path_index=p)
-        inc = np.diff(path.values)
-        assert np.all(inc >= 0)
-        assert np.all(inc == np.round(inc))
+    inc = np.diff(sample_paths(poisson_spec, times, range(1000)), axis=1)
+    assert inc.shape == (1000, 8)
+    assert np.all(inc >= 0)
+    assert np.all(inc == np.round(inc))
 
 
-def test_path_rejects_bad_times(poisson_spec) -> None:
-    with pytest.raises(BadTimes):
-        sample_path(poisson_spec, np.array([0.5, 1.0]))
-    with pytest.raises(BadTimes):
-        sample_path(poisson_spec, np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(BadTimes):
-        sample_path(poisson_spec, np.array([0.0, 3.0]))  # past horizon
+def test_path_rejects_bad_times(monkeypatch) -> None:
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    bad_times = (
+        [0.5, 1.0],
+        [0.0, 1.0, 0.5],
+        [0.0, 3.0],  # past horizon
+        [0.0, math.nan, 1.0],
+        [0.0, 1.0, math.nan],
+    )
+    poisson, gaussian, drift_only = (
+        catalog("poisson", 1.0, 1.0), catalog("gaussian", 0.0, 1.0), catalog("gaussian", 0.7, 0.0)
+    )
+    for law in (poisson, gaussian, drift_only):
+        spec = ProcessSpec(law=law, epsilon=0.5, horizon=2.0, seed=7)
+        for times in bad_times:
+            with pytest.raises(BadTimes):
+                sample_paths(spec, np.array(times), [0])
 
 
 def test_split_interval_matches_single(poisson_spec) -> None:
@@ -191,13 +215,13 @@ def test_split_interval_matches_single(poisson_spec) -> None:
 
 def reference_path(spec, times, path_index=0):
     """The former sampler: a fresh stream_for stream and one increment per
-    interval, kept as the reference for sample_path's single generator."""
+    interval, kept as the reference for sample_paths' single generator."""
     times = np.asarray(times, dtype=float)
     values = np.zeros(times.size)
     for k, gap in enumerate(np.diff(times)):
         stream = stream_for(spec.seed, path_index, k)
         values[k + 1] = values[k] + sample_increments(spec, float(gap), 1, stream)[0]
-    return PathSample(times=times, values=values)
+    return values
 
 
 _UNEVEN = np.cumsum(np.r_[0.0, np.random.default_rng(3).exponential(0.05, 50)])
@@ -234,20 +258,19 @@ def test_sample_path_matches_per_interval_streams(case, seed, monkeypatch) -> No
     if case in SMALL_CHUNKS:
         monkeypatch.setattr(simulate, "_SAMPLE_BLOCK", 7)
     spec = ProcessSpec(law=law, epsilon=eps, horizon=float(times[-1]) or 1.0, seed=seed)
-    want = [reference_path(spec, times, path_index=p) for p in paths]
+    want = np.array([reference_path(spec, times, path_index=p) for p in paths])
     together = sample_paths(spec, times, paths)
-    one_by_one = [sample_path(spec, times, path_index=p) for p in paths]
+    one_by_one = np.array([sample_paths(spec, times, [p])[0] for p in paths])
     for got in (together, one_by_one):
-        assert paths_to_csv(got) == paths_to_csv(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+        assert paths_to_csv(times, got) == paths_to_csv(times, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_sample_paths_takes_numpy_path_indices() -> None:
     spec = ProcessSpec(law=catalog("poisson", 3.0, 1.0), epsilon=0.5, horizon=2.0, seed=5)
     times = np.linspace(0.0, 2.0, 5)
     got = sample_paths(spec, times, np.arange(3, 6, dtype=np.uint64))
-    assert paths_to_csv(got) == paths_to_csv(sample_paths(spec, times, [3, 4, 5]))
+    assert got.tobytes() == sample_paths(spec, times, [3, 4, 5]).tobytes()
     with pytest.raises(TypeError):
         sample_paths(spec, times, [1.0])
 
@@ -292,12 +315,12 @@ def test_sample_path_uses_one_generator_and_one_quantile(monkeypatch) -> None:
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     monkeypatch.setattr(simulate, "quantile", counted_quantile)
     spec = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=10.0, seed=4)
-    path = sample_path(spec, np.linspace(0.0, 10.0, 101))
+    path = sample_paths(spec, np.linspace(0.0, 10.0, 101), [0])[0]
     assert calls == {"philox": 1, "quantile": 1}
-    assert path.values[-1] > 0  # jumps were drawn
+    assert path[-1] > 0  # jumps were drawn
     calls.update(philox=0, quantile=0)
     gaussian = ProcessSpec(law=catalog("gaussian", 0.0, 1.0), epsilon=0.1, horizon=1.0, seed=4)
-    sample_path(gaussian, [0.0, 0.5, 1.0])
+    sample_paths(gaussian, [0.0, 0.5, 1.0], [0])
     assert calls == {"philox": 1, "quantile": 0}
 
 
@@ -308,9 +331,9 @@ def test_sample_path_rejects_bad_layout_before_drawing(monkeypatch) -> None:
     monkeypatch.setattr(np.random, "Philox", no_philox)
     spec = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=2.0, seed=0)
     with pytest.raises(ValueError, match="2\\^20 intervals"):
-        sample_path(spec, np.linspace(0.0, 2.0, (1 << 20) + 2))
+        sample_paths(spec, np.linspace(0.0, 2.0, (1 << 20) + 2), [0])
     with pytest.raises(ValueError, match="path_index"):
-        sample_path(spec, np.linspace(0.0, 2.0, 3), path_index=-1)
+        sample_paths(spec, np.linspace(0.0, 2.0, 3), [0, -1])
 
 
 # -- empirical CF -------------------------------------------------------------------
@@ -465,20 +488,19 @@ def test_cauchy_truncation_bias_decreases() -> None:
 
 
 def test_paths_to_csv_layout() -> None:
-    p = PathSample(times=np.array([0.0, 1.0]), values=np.array([0.0, 0.5]))
-    text = paths_to_csv([p, p])
+    text = paths_to_csv([0, 1], [[0.0, 0.5], [0.0, 0.5]])
     lines = text.strip().split("\n")
     assert lines[0] == "path_id,time,value"
     assert lines[1] == "0,0.0,0.0"
     assert lines[4] == "1,1.0,0.5"
 
 
-def paths_to_csv_rows(paths) -> str:
+def paths_to_csv_rows(times, values) -> str:
     """The writer paths_to_csv replaced, float() on each numpy scalar, kept as
     its reference."""
     out = "path_id,time,value\n"
-    for pid, p in enumerate(paths):
-        for t, v in zip(p.times, p.values):
+    for pid, row in enumerate(values):
+        for t, v in zip(times, row):
             out += f"{pid},{float(t)!r},{float(v)!r}\n"
     return out
 
@@ -486,9 +508,15 @@ def paths_to_csv_rows(paths) -> str:
 def test_paths_to_csv_matches_row_by_row_reference() -> None:
     spec = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=3.5, seed=4)
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5])
-    paths = [sample_path(spec, times, path_index=p) for p in range(20)]
-    paths.append(PathSample(times=np.array([0.0, 1e-300]), values=np.array([-0.0, -1e300])))
-    assert paths_to_csv(paths) == paths_to_csv_rows(paths)
+    poisson = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=3.0, seed=4)
+    long_times = np.linspace(0.0, 3.0, 300)  # 20 x 300 rows: two blocks and a part
+    for t, values in (
+        (times, sample_paths(spec, times, range(20))),
+        (np.array([0.0, 1e-300]), np.array([[-0.0, -1e300]])),
+        (long_times, sample_paths(poisson, long_times, range(20))),
+        (np.array([0.0]), np.zeros((0, 1))),
+    ):
+        assert paths_to_csv(t, values) == paths_to_csv_rows(t, values)
 
 
 def test_empirical_cf_to_csv_layout() -> None:
@@ -514,5 +542,7 @@ def empirical_cf_to_csv_rows(ecf: EmpiricalCF) -> str:
 def test_empirical_cf_csv_matches_row_by_row_reference() -> None:
     rng = np.random.default_rng(5)
     for samples in (rng.standard_cauchy(200), np.array([0.0, 1.0, -2.0])):
-        ecf = empirical_cf(samples, np.linspace(-5.0, 5.0, 101))
-        assert empirical_cf_to_csv(ecf) == empirical_cf_to_csv_rows(ecf)
+        # 101 t, and 9,001 t: three row blocks
+        for t_grid in (np.linspace(-5.0, 5.0, 101), np.linspace(-40.0, 40.0, 9001)):
+            ecf = empirical_cf(samples, t_grid)
+            assert empirical_cf_to_csv(ecf) == empirical_cf_to_csv_rows(ecf)
