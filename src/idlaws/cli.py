@@ -18,6 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+
+# every verb resolves a law through canonical and measure; each _run_<verb>
+# imports the rest of what it runs, so a call loads only its verb's modules
 from .canonical import (
     CompoundPoissonSpec,
     LevyKhintchinePair,
@@ -29,21 +32,7 @@ from .canonical import (
     lk_to_levy,
     log_cf_lk,
 )
-from .divisibility import (
-    build_log_cf_grid,
-    grid_to_csv,
-    symmetric_grid,
-    verify_infinitely_divisible,
-)
-from .khinchin import definetti_sequence, inversion_report, invert_cf
 from .measure import CanonicalMeasure, _json_object
-from .simulate import (
-    ProcessSpec,
-    empirical_cf,
-    empirical_cf_to_csv,
-    paths_to_csv,
-    sample_paths,
-)
 
 OUTPUT_DIR_ENV = "IDLAWS_OUTPUT_DIR"
 
@@ -147,6 +136,8 @@ def _law_config(args) -> dict:
 
 
 def _run_eval(args) -> int:
+    from .divisibility import build_log_cf_grid, grid_to_csv
+
     law = _resolve_law(args)
     cf = build_log_cf_grid(
         lambda t: log_cf_lk(law, t), t_max=args.t_max, points=args.points
@@ -171,6 +162,9 @@ def _run_convert(args) -> int:
 
 
 def _run_invert(args) -> int:
+    from .divisibility import build_log_cf_grid
+    from .khinchin import inversion_report, invert_cf
+
     law = _resolve_law(args)
     points = _invert_points(args)
     cf = build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max=args.t_span + 1.0, points=points)
@@ -186,6 +180,8 @@ def _run_invert(args) -> int:
 
 
 def _run_verify_id(args) -> int:
+    from .divisibility import build_log_cf_grid, verify_infinitely_divisible
+
     law = _resolve_law(args)
     roots = tuple(int(n) for n in args.roots.split(","))
     # sampled as a log CF: exp(log phi) underflows to 0 (a Gaussian beyond
@@ -209,6 +205,9 @@ def _run_verify_id(args) -> int:
 
 
 def _run_approx_cp(args) -> int:
+    from .divisibility import symmetric_grid
+    from .khinchin import definetti_sequence
+
     law = _resolve_law(args)
     epsilons = [float(e) for e in args.epsilons.split(",")]
     t_grid = symmetric_grid(args.t_max, args.points)
@@ -236,6 +235,14 @@ def _run_approx_cp(args) -> int:
 
 
 def _run_simulate(args) -> int:
+    from .simulate import (
+        ProcessSpec,
+        empirical_cf,
+        empirical_cf_to_csv,
+        paths_to_csv,
+        sample_paths,
+    )
+
     law = _resolve_law(args)
     spec = ProcessSpec(
         law=law, epsilon=args.epsilon, horizon=args.horizon, seed=args.seed

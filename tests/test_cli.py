@@ -377,6 +377,41 @@ def test_cli_import_leaves_out_scipy() -> None:
     assert _child_stdout(code) == "[]"
 
 
+# what every process that imports idlaws.cli loads of the package
+CLI_MODULES = ["idlaws", "idlaws.canonical", "idlaws.cli", "idlaws.measure"]
+PRINT_IDLAWS_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'idlaws'))"
+# a small call of each verb, and the modules it loads beyond CLI_MODULES
+VERB_MODULES = [
+    (["convert", "--catalog", "poisson:1,1", "--to", "levy"], []),
+    (["eval", "--catalog", "poisson:1,1", "--points", "21"], ["divisibility"]),
+    (["verify-id", "--catalog", "gaussian:0,1", "--points", "21"], ["divisibility"]),
+    (["invert", "--catalog", "poisson:1,1", "--t-step", "0.05"], ["divisibility", "khinchin"]),
+    (
+        ["approx-cp", "--catalog", "poisson:1,1", "--epsilons", "0.5", "--points", "21"],
+        ["divisibility", "khinchin"],
+    ),
+    (
+        ["simulate", "--catalog", "poisson:1,1", "--epsilon", "0.5", "--steps", "2"],
+        ["divisibility", "khinchin", "simulate"],
+    ),
+]
+
+
+def test_package_and_cli_imports_load_no_verb_module() -> None:
+    assert _child_stdout(f"import idlaws, sys; {PRINT_IDLAWS_MODULES}") == "['idlaws']"
+    assert _child_stdout(f"import idlaws.cli, sys; {PRINT_IDLAWS_MODULES}") == str(CLI_MODULES)
+
+
+@pytest.mark.parametrize("argv, modules", VERB_MODULES, ids=[v[0][0] for v in VERB_MODULES])
+def test_each_verb_loads_only_its_modules(argv, modules, tmp_path) -> None:
+    argv = argv + ["--out", str(tmp_path / "artifact")]
+    if argv[0] == "simulate":
+        argv += ["--cf-out", str(tmp_path / "cf.csv")]
+    code = f"import sys; from idlaws.cli import main; print(main({argv!r})); {PRINT_IDLAWS_MODULES}"
+    expected = sorted(CLI_MODULES + [f"idlaws.{m}" for m in modules])
+    assert _child_stdout(code).split("\n")[-2:] == ["0", str(expected)]
+
+
 def test_cli_runs_leave_out_numpy_ma(tmp_path) -> None:
     # np.unique, np.union1d and np.median import numpy.ma, about 15 ms a process
     argvs = [

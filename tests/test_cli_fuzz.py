@@ -4,14 +4,15 @@ error and writes no artifact.
 Every case runs through cli.main in this process. The oversized ones, and an
 option whose grid would overflow, must be refused before any grid or path is
 built, so the functions that would build one fail the test if they are
-reached.
+reached. The verbs import those functions from their defining modules when
+they run, so that is where they are replaced.
 """
 
 import json
 
 import pytest
 
-from idlaws import cli
+from idlaws import cli, divisibility, simulate
 
 
 def lk(**G):
@@ -81,13 +82,43 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a grid or path was built before the option checks")
 
 
+def _refuse_builders(monkeypatch) -> None:
+    """Make every function that builds a grid or paths for a verb fail the test."""
+    for module, name in (
+        (divisibility, "build_log_cf_grid"),
+        (divisibility, "symmetric_grid"),
+        (simulate, "sample_paths"),
+    ):
+        monkeypatch.setattr(module, name, _refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval"],
+        ["verify-id"],
+        ["invert"],
+        ["approx-cp", "--epsilons", "0.5"],
+        ["simulate", "--epsilon", "0.5", "--steps", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_refused_builders_are_the_ones_a_valid_call_reaches(argv, tmp_path, monkeypatch) -> None:
+    # without this, a patch that missed the binding a verb calls would let
+    # every early case pass whether or not its option check ran first
+    _refuse_builders(monkeypatch)
+    argv = argv + ["--catalog", "poisson:1,1", "--out", str(tmp_path / "artifact")]
+    with pytest.raises(AssertionError, match="before the option checks"):
+        cli.main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, law, early", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_malformed_input_exits_2_and_writes_nothing(
     argv, law, early, tmp_path, capsys, monkeypatch
 ) -> None:
     if early:
-        for name in ("build_log_cf_grid", "symmetric_grid", "sample_paths"):
-            monkeypatch.setattr(cli, name, _refuse)
+        _refuse_builders(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
     argv = list(argv)

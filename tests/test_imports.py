@@ -1,34 +1,64 @@
-"""Every module-level import in the package's modules is used, and every
-module-level private name is read somewhere in the package."""
+"""Every import in the package's modules is used, every module-level private
+name is read somewhere in the package, and the lazy package namespace keeps
+its public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import idlaws
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idlaws"
-# __init__ imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_names(statements) -> list:
+    """(name, line) of each name bound by the import statements among statements."""
+    out = []
+    for node in statements:
+        if isinstance(node, ast.Import):
+            out += [(a.asname or a.name.partition(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
 
 
 def unused_imports(source: str) -> list:
-    """Names bound by the module's top-level imports that nothing reads."""
+    """Names bound by an import that nothing reads: a top-level import must be
+    read somewhere in the module, an import inside a function in that function."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+    scopes = [(tree, tree.body)] + [
+        (f, list(ast.walk(f)))
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    out = []
+    for scope, statements in scopes:
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        out += [
+            f"{name} (line {line})"
+            for name, line in _imported_names(statements)
+            if name not in read
+        ]
+    return sorted(out)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path) -> None:
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_imports_finds_a_stale_import_in_a_function() -> None:
+    source = (
+        "import math\n\n"
+        "def used():\n    from os import sep\n    return sep\n\n"
+        "def stale():\n    from os import getcwd\n    return math.pi\n\n"
+        "def elsewhere():\n    return getcwd\n"
+    )
+    # getcwd is read, but not by the function that imports it
+    assert unused_imports(source) == ["getcwd (line 8)"]
 
 
 def stranded_privates(sources: dict) -> list:
@@ -73,3 +103,41 @@ def test_stranded_privates_finds_a_helper_its_last_caller_left() -> None:
 def test_no_stranded_private_helpers() -> None:
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert stranded_privates(sources) == []
+
+
+# idlaws.__all__ as it was when the package imported every submodule eagerly
+PUBLIC_NAMES = [
+    "__version__",
+    "CanonicalMeasure", "InfiniteWeight", "MissingAtomValue", "cdf", "integrate", "quantile",
+    "restrict", "reweight", "total_mass",
+    "BadParameter", "CompoundPoissonSpec", "InfiniteVariance", "KolmogorovPair",
+    "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "kolmogorov_to_lk",
+    "law_from_json_dict", "law_to_json_dict", "law_to_lk", "lk_to_kolmogorov", "lk_to_levy",
+    "levy_to_lk", "log_cf", "log_cf_lk", "scale_law",
+    "CharacteristicFunctionGrid", "DivisibilityReport", "ProbeOutOfRange", "ZeroCrossing",
+    "build_cf_grid", "build_log_cf_grid", "grid_to_csv", "nth_root", "psd_check",
+    "symmetric_grid", "verify_infinitely_divisible",
+    "BoundViolated", "GhFamily", "InsufficientSpan", "InversionIntermediates", "NoConvergence",
+    "OutOfRange", "SignViolation", "definetti_sequence", "delta", "delta_profile",
+    "extract_limit", "g_from_k", "g_h_from_root", "gnedenko_tail_check", "i_h",
+    "inversion_report", "invert_cf", "k_from_delta", "tail_bounds", "truncate_cp",
+    "BadTimes", "EmpiricalCF", "ProcessSpec", "ScalingReport", "TriangularArrayReport",
+    "empirical_cf", "empirical_cf_to_csv", "paths_to_csv", "sample_increments", "sample_paths",
+    "scaling_check", "stream_for", "triangular_array_check",
+]
+
+
+def test_lazy_namespace_keeps_the_public_names() -> None:
+    assert idlaws.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 72
+    star = {}
+    exec("from idlaws import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES[1:]:
+        value = getattr(idlaws, name)
+        assert star[name] is value
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert value.__module__.startswith("idlaws.")
+    assert idlaws.khinchin is importlib.import_module("idlaws.khinchin")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        idlaws.no_such_name
+    assert {"__all__", *PUBLIC_NAMES} <= set(dir(idlaws))
