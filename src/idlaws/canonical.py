@@ -19,6 +19,7 @@ from .measure import (
     CanonicalMeasure,
     InfiniteWeight,
     _gauss_nodes,
+    _json_number,
     _json_object,
     _phase_run,
     atom_mass_at,
@@ -574,16 +575,16 @@ def law_from_json_dict(d: dict):
     measures = _json_object(d.get("measures", {}), "measures")
     if form == "lk":
         return LevyKhintchinePair(
-            gamma=float(d["gamma"]), G=from_json_dict(measures["G"])
+            gamma=_json_number(d["gamma"], "gamma"), G=from_json_dict(measures["G"])
         )
     if form == "kolmogorov":
         return KolmogorovPair(
-            gammaK=float(d["gamma"]), K=from_json_dict(measures["K"])
+            gammaK=_json_number(d["gamma"], "gamma"), K=from_json_dict(measures["K"])
         )
     if form == "levy":
         return LevyTriplet(
-            gamma=float(d["gamma"]),
-            sigma2=float(d.get("sigma2", 0.0)),
+            gamma=_json_number(d["gamma"], "gamma"),
+            sigma2=_json_number(d.get("sigma2", 0.0), "sigma2"),
             M=from_json_dict(measures["M"]),
             N=from_json_dict(measures["N"]),
         )

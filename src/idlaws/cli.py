@@ -32,7 +32,7 @@ from .canonical import (
     lk_to_levy,
     log_cf_lk,
 )
-from .measure import CanonicalMeasure, _json_object
+from .measure import CanonicalMeasure, _json_atoms, _json_number, _json_object
 
 OUTPUT_DIR_ENV = "IDLAWS_OUTPUT_DIR"
 
@@ -93,10 +93,8 @@ def _load_law_file(path: str) -> LevyKhintchinePair:
     if "compound_poisson" in d:
         cp = d["compound_poisson"]
         spec = CompoundPoissonSpec(
-            rate=float(cp["rate"]),
-            jump=CanonicalMeasure.from_atoms(
-                [(float(u), float(p)) for u, p in cp["jumps"]]
-            ),
+            rate=_json_number(cp["rate"], "rate"),
+            jump=CanonicalMeasure.from_atoms(_json_atoms(cp["jumps"], "jumps")),
         )
         return catalog("compound_poisson", spec)
     return law_to_lk(law_from_json_dict(d))

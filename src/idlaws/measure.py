@@ -518,12 +518,29 @@ def _json_object(d, what: str) -> dict:
     return d
 
 
+def _json_number(x, what: str) -> float:
+    """x as a float; only a JSON int or float is accepted, not a bool or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {type(x).__name__}")
+    return float(x)
+
+
+def _json_atoms(atoms, what: str) -> list:
+    """A JSON list of [location, mass] pairs of numbers, as float pairs."""
+    if not all(isinstance(a, list) and len(a) == 2 for a in atoms):
+        raise ValueError(f"{what} must be [location, mass] pairs")
+    return [
+        (_json_number(u, f"a location in {what}"), _json_number(p, f"a mass in {what}"))
+        for u, p in atoms
+    ]
+
+
 def from_json_dict(d: dict) -> CanonicalMeasure:
     grid = _json_object(_json_object(d, "a measure").get("grid", {}), "grid")
     return CanonicalMeasure(
-        atoms=tuple((loc, mass) for loc, mass in d.get("atoms", [])),
-        edges=np.asarray(grid.get("edges", []), dtype=float),
-        values=np.asarray(grid.get("values", []), dtype=float),
-        tail_dropped=d.get("tail_dropped", 0.0),
+        atoms=_json_atoms(d.get("atoms", []), "atoms"),
+        edges=[_json_number(x, "a grid edge") for x in grid.get("edges", [])],
+        values=[_json_number(x, "a grid value") for x in grid.get("values", [])],
+        tail_dropped=_json_number(d.get("tail_dropped", 0.0), "tail_dropped"),
     )
 

@@ -20,6 +20,25 @@ def lk(**G):
     return {"form": "lk", "gamma": 0.0, "measures": {"G": G}}
 
 
+# (case id, law file content, the field its error must name): law-file numbers
+# must be JSON numbers, and atoms [location, mass] pairs
+NOT_NUMBERS = [
+    ("gamma-bool", {**lk(), "gamma": True}, "gamma"),
+    ("gamma-string", {**lk(), "gamma": "1"}, "gamma"),
+    ("atom-mass-string", lk(atoms=[[1.0, "0.5"]]), "mass"),
+    ("edge-string", lk(grid={"edges": [0, "1"], "values": [1]}), "edge"),
+    ("value-bool", lk(grid={"edges": [0, 1], "values": [True]}), "value"),
+    ("rate-string", {"compound_poisson": {"rate": "1.5", "jumps": [[1, 1]]}}, "rate"),
+    (
+        "sigma2-string",
+        {"form": "levy", "gamma": 0.0, "sigma2": "1", "measures": {"M": {}, "N": {}}},
+        "sigma2",
+    ),
+    ("tail-dropped-string", lk(atoms=[[1.0, 0.5]], tail_dropped="0.1"), "tail_dropped"),
+    ("atom-triple", lk(atoms=[[1.0, 0.5, 2.0]]), "[location, mass] pairs"),
+    ("jump-triple", {"compound_poisson": {"rate": 1.5, "jumps": [[1, 1, 1]]}}, "[location, mass]"),
+]
+
 OVER = cli.MAX_SIZE + 1  # odd, so only the size limit refuses it
 HUGE = "9" * 400  # an int that no float can hold
 
@@ -54,6 +73,7 @@ CASES = [
     ("measures-list", ["eval"], {**lk(), "measures": [1]}, False),
     ("measure-list", ["eval"], {**lk(), "measures": {"G": [1]}}, False),
     ("grid-string", ["eval"], lk(grid="abc"), False),
+    *[(case, ["convert", "--to", "lk"], law, False) for case, law, _ in NOT_NUMBERS],
     ("eval-even-points", ["eval", "--points", "200"], None, False),
     ("verify-even-points", ["verify-id", "--points", "200"], None, False),
     ("inf-epsilon", ["approx-cp", "--epsilons", "inf"], None, False),
@@ -140,3 +160,22 @@ def test_malformed_input_exits_2_and_writes_nothing(
         assert error["code"] == "BadOption"
     assert captured.err == ""
     assert list(out.iterdir()) == []
+
+
+def convert(law, tmp_path) -> int:
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    return cli.main(["convert", "--law", str(path), "--to", "lk", "--out", str(tmp_path / "lk.json")])
+
+
+@pytest.mark.parametrize("law, field", [c[1:] for c in NOT_NUMBERS], ids=[c[0] for c in NOT_NUMBERS])
+def test_a_law_file_value_that_is_not_a_number_names_its_field(law, field, tmp_path, capsys) -> None:
+    assert convert(law, tmp_path) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "ValueError" and field in error["message"]
+
+
+def test_int_law_file_numbers_stay_accepted(tmp_path) -> None:
+    assert convert({"compound_poisson": {"rate": 2, "jumps": [[-2, 1]]}}, tmp_path) == 0
+    law = lk(atoms=[[-2, 1]], grid={"edges": [1, 2], "values": [3]})
+    assert convert({**law, "gamma": 1}, tmp_path) == 0

@@ -1,11 +1,12 @@
 """Tests for CF grids, unwrapped logs, convolution roots, and PSD checks."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from idlaws import divisibility
+from idlaws import cli, divisibility
 from idlaws.canonical import CompoundPoissonSpec, catalog, log_cf_lk
 from idlaws.divisibility import (
     PHASE_FLIP_THRESHOLD,
@@ -22,6 +23,7 @@ from idlaws.divisibility import (
     verify_infinitely_divisible,
 )
 from idlaws.measure import CanonicalMeasure
+from idlaws.simulate import paths_to_csv
 
 
 def gaussian_cf(t):
@@ -428,13 +430,52 @@ def grid_to_csv_rows(cf: CharacteristicFunctionGrid) -> str:
     return out
 
 
+def law_grid(law, t_max: float, points: int) -> CharacteristicFunctionGrid:
+    return build_log_cf_grid(lambda t: log_cf_lk(law, t), t_max, points)
+
+
+def one_ulp_off(g: CharacteristicFunctionGrid) -> CharacteristicFunctionGrid:
+    """g with one t < 0 log value moved one ulp, so no longer a bitwise mirror."""
+    lv = g.log_values.copy()
+    lv[5] = complex(np.nextafter(lv[5].real, 0.0), lv[5].imag)
+    return CharacteristicFunctionGrid(g.t_grid, lv)
+
+
+BENCH_GRID = law_grid(catalog("poisson", 1.0, 1.0), 81.0, 32401)  # eval on atomic-scale
+CP_SKEW = Path(__file__).parents[1] / "bench" / "laws" / "cp-skew.json"
+
+
 def test_grid_csv_matches_row_by_row_reference() -> None:
     for g in (
         build_cf_grid(poisson_cf, 2.0, 5),
         build_cf_grid(lambda t: np.exp(2.5j * t) * poisson_cf(t), 10.0, 201),
-        build_log_cf_grid(lambda t: -0.5 * t * t, 81.0, 9001),  # three row blocks
+        build_log_cf_grid(lambda t: -0.5 * t * t, 81.0, 9001),  # several row blocks
+        BENCH_GRID,
+        law_grid(catalog("gaussian", 0.0, 1.0), 10.0, 2001),  # im columns hold +0.0 and -0.0
+        law_grid(cli._load_law_file(str(CP_SKEW)), 40.0, 8001),
+        law_grid(catalog("poisson", 1.0, 1.0), 1.0, 3),
+        one_ulp_off(BENCH_GRID),
     ):
         assert grid_to_csv(g) == grid_to_csv_rows(g)
+
+
+def test_csv_formats_a_mirrored_table_once_per_half(monkeypatch) -> None:
+    calls = []
+    monkeypatch.setattr(divisibility, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+
+    def reprs(write) -> int:
+        calls.clear()
+        write()
+        return len(calls)
+
+    n = BENCH_GRID.t_grid.size
+    assert reprs(lambda: grid_to_csv(BENCH_GRID)) == 5 * (n + 1) // 2
+    gauss = law_grid(catalog("gaussian", 0.0, 1.0), 2.0, 7)
+    assert reprs(lambda: grid_to_csv(gauss)) == 5 * 4
+    assert reprs(lambda: grid_to_csv(one_ulp_off(BENCH_GRID))) == 5 * n
+    # int path ids never take the mirror, even where every float column mirrors
+    times, values = np.array([-1.0, 0.0, 1.0]), np.array([[-2.0, 0.0, 2.0]])
+    assert reprs(lambda: paths_to_csv(times, values)) == 3 * 3
 
 
 # -- the exact mirror grid ---------------------------------------------------------

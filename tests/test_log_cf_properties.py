@@ -1,6 +1,6 @@
 """Property tests of the batched log-CF kernel, of the CF grids built from
 it, of quantiles, of the law file format, of time scaling and of sampled
-paths, on random finite measures."""
+paths, on random finite measures; and of the CSV writer on mirrored tables."""
 
 import json
 
@@ -20,7 +20,9 @@ from idlaws.canonical import (
     log_cf_lk,
     scale_law,
 )
+from idlaws import divisibility
 from idlaws.divisibility import (
+    _csv_text,
     build_cf_grid,
     build_log_cf_grid,
     nth_root,
@@ -205,3 +207,45 @@ def test_sample_path_depends_only_on_seed_and_index(G, gamma, epsilon, seed, ind
     after_others = sample_paths(shared, times, [index])[0]
     again = sample_paths(spec(), times, [index])[0]
     assert alone.tobytes() == after_others.tobytes() == again.tobytes()
+
+
+# the values whose repr a sign flip of the string could get wrong
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, np.inf, -np.inf, 1e308, -1e308]
+SPECIAL += [np.nan, np.copysign(np.nan, -1.0)]
+
+
+@st.composite
+def mirror_columns(draw, n: int) -> np.ndarray:
+    """A float or int column of n rows, mostly mirrored evenly or oddly about its middle."""
+    h = n // 2
+    if draw(st.booleans()):
+        cells = st.sampled_from([0, 1, -2])  # ints have no -0
+    else:
+        cells = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+    upper = np.array(draw(st.lists(cells, min_size=n - h, max_size=n - h)))
+    parity = draw(st.sampled_from(["even", "odd", "even", "odd", "even", "odd", "neither"]))
+    if parity == "neither":
+        lower = np.array(draw(st.lists(cells, min_size=h, max_size=h)), dtype=upper.dtype)
+    else:
+        lower = upper[n - 2 * h :][::-1]
+        lower = -lower if parity == "odd" else lower  # negation flips a NaN's sign too
+    return np.concatenate([lower, upper])
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    return [draw(mirror_columns(n)) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+
+
+@PROPERTY
+@given(csv_tables(), st.sampled_from([1, 2, 3, 1024]))
+def test_csv_text_matches_row_by_row_reprs(columns, block) -> None:
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    rows = zip(*(c.tolist() for c in columns))
+    expect = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    saved, divisibility._CSV_BLOCK = divisibility._CSV_BLOCK, block
+    try:
+        assert _csv_text(header, *columns) == expect
+    finally:
+        divisibility._CSV_BLOCK = saved
