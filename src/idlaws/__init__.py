@@ -17,9 +17,9 @@ _EXPORTS = {
     ),
     "canonical": (
         "BadParameter", "CompoundPoissonSpec", "InfiniteVariance", "KolmogorovPair",
-        "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog",
-        "kolmogorov_to_lk", "law_from_json_dict", "law_to_json_dict", "law_to_lk",
-        "lk_to_kolmogorov", "lk_to_levy", "levy_to_lk", "log_cf", "log_cf_lk", "scale_law",
+        "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "kolmogorov_to_lk",
+        "law_from_json_dict", "law_to_json_dict", "law_to_lk", "lk_to_kolmogorov",
+        "lk_to_levy", "levy_to_lk", "log_cf", "log_cf_lk", "scale_law", "truncate_cp",
     ),
     "divisibility": (
         "CharacteristicFunctionGrid", "DivisibilityReport", "ProbeOutOfRange",
@@ -29,9 +29,8 @@ _EXPORTS = {
     "khinchin": (
         "BoundViolated", "GhFamily", "InsufficientSpan", "InversionIntermediates",
         "NoConvergence", "OutOfRange", "SignViolation", "definetti_sequence", "delta",
-        "delta_profile", "extract_limit", "g_from_k", "g_h_from_root",
-        "gnedenko_tail_check", "i_h", "inversion_report", "invert_cf", "k_from_delta",
-        "tail_bounds", "truncate_cp",
+        "delta_profile", "extract_limit", "g_from_k", "g_h_from_root", "gnedenko_tail_check",
+        "i_h", "inversion_report", "invert_cf", "k_from_delta", "tail_bounds",
     ),
     "simulate": (
         "BadTimes", "EmpiricalCF", "ProcessSpec", "ScalingReport", "TriangularArrayReport",

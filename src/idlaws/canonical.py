@@ -5,7 +5,8 @@ Three equivalent forms are supported: a drift plus one bounded measure G
 second moment), and a drift + Gaussian variance + two jump measures M, N on
 the negative and positive half lines. Each form evaluates the logarithm of
 the characteristic function; conversions move between forms and preserve the
-log-CF pointwise.
+log-CF pointwise. truncate_cp splits a law into drift, Gaussian part and a
+compound-Poisson law of its jumps beyond epsilon (de Finetti's approximants).
 """
 
 from __future__ import annotations
@@ -340,8 +341,18 @@ def log_cf_lk(law: LevyKhintchinePair, t):
     Returns a complex for a scalar t, else an array of t's shape, with
     log phi(0) exactly 0. Raises NonFiniteLogCF if any value overflows.
     """
+    return _log_cf_at(lambda ts: _log_cf_lk_flat(law, ts), t)
+
+
+def _log_cf_at(f, t):
+    """f, a log CF of a 1-d t array, at t of any shape as log_cf_lk describes; raises
+    NonFiniteLogCF naming the first t, in t's order, whose value is not finite."""
     tt = np.asarray(t, dtype=float)
-    out = hermitian_fold(lambda ts: _log_cf_lk_flat(law, ts), tt.ravel())
+    with np.errstate(all="ignore"):
+        out = hermitian_fold(f, tt.ravel())
+    if not np.all(np.isfinite(out)):
+        bad = float(tt.ravel()[np.argmin(np.isfinite(out))])
+        raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
     return complex(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
 
@@ -349,40 +360,36 @@ def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
     """log_cf_lk on a 1-d t array, every t evaluated."""
     g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order = _lk_parts(law.G)
     orders = inner_gauss_order(width, ts)
-    with np.errstate(all="ignore"):
-        out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts
-        for n in _GAUSS_LADDER:
-            sel = orders == n
-            if not sel.any():
-                continue
-            if n not in by_order:
-                cell_nodes, cell_weights = _gauss_nodes(inner, n)
-                if cell_nodes.size >= _CELL_KERNEL_NODES:
-                    by_order[n] = (locs, masses, _cell_tables(cell_nodes, cell_weights))
-                else:
-                    nodes = np.concatenate([locs, cell_nodes])
-                    by_order[n] = (nodes, np.concatenate([masses, cell_weights]), None)
-            nodes, weights, tables = by_order[n]
-            tn, part = ts[sel], out[sel]
-            if nodes.size:
-                cols = min(nodes.size, _KERNEL_BLOCK)
-                rows = max(1, _KERNEL_BLOCK // cols)
-                for j in range(0, nodes.size, cols):
-                    u, w = nodes[j : j + cols], weights[j : j + cols]
-                    for i in range(0, tn.size, rows):
-                        tb = tn[i : i + rows, None]
-                        tu = tb * u
-                        f = tb * tb * exp_remainder2(tu) * (1.0 + u * u) + 1j * tu
-                        part[i : i + rows] += (f * w).sum(axis=1)
-            if tables is not None:
-                part += _cell_kernel(tn, tables)
-            out[sel] = part
-        if nu is not None:
-            out += fourier_transform(nu, ts) - nu_mass - 1j * ts * nu_center
+    out = 1j * law.gamma * ts - 0.5 * g0 * ts * ts
+    for n in _GAUSS_LADDER:
+        sel = orders == n
+        if not sel.any():
+            continue
+        if n not in by_order:
+            cell_nodes, cell_weights = _gauss_nodes(inner, n)
+            if cell_nodes.size >= _CELL_KERNEL_NODES:
+                by_order[n] = (locs, masses, _cell_tables(cell_nodes, cell_weights))
+            else:
+                nodes = np.concatenate([locs, cell_nodes])
+                by_order[n] = (nodes, np.concatenate([masses, cell_weights]), None)
+        nodes, weights, tables = by_order[n]
+        tn, part = ts[sel], out[sel]
+        if nodes.size:
+            cols = min(nodes.size, _KERNEL_BLOCK)
+            rows = max(1, _KERNEL_BLOCK // cols)
+            for j in range(0, nodes.size, cols):
+                u, w = nodes[j : j + cols], weights[j : j + cols]
+                for i in range(0, tn.size, rows):
+                    tb = tn[i : i + rows, None]
+                    tu = tb * u
+                    f = tb * tb * exp_remainder2(tu) * (1.0 + u * u) + 1j * tu
+                    part[i : i + rows] += (f * w).sum(axis=1)
+        if tables is not None:
+            part += _cell_kernel(tn, tables)
+        out[sel] = part
+    if nu is not None:
+        out += fourier_transform(nu, ts) - nu_mass - 1j * ts * nu_center
     out[ts == 0.0] = 0.0
-    if not np.all(np.isfinite(out)):
-        bad = float(ts[np.argmin(np.isfinite(out))])
-        raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
     return out
 
 
@@ -479,6 +486,56 @@ def compound_poisson_to_lk(spec: CompoundPoissonSpec) -> LevyKhintchinePair:
     )
     gamma = spec.rate * integrate(spec.jump, lambda u: u / (1.0 + u * u)).real
     return LevyKhintchinePair(gamma=gamma, G=G)
+
+
+@dataclass(frozen=True)
+class TruncationResult:
+    """Drift + Gaussian + finite-rate jump decomposition at one epsilon."""
+
+    epsilon: float
+    lambda_eps: float
+    jump_distribution: CanonicalMeasure
+    gaussian_mass: float
+    drift: float
+
+    def log_cf(self, t):
+        """Exponent of the approximant CF at t, evaluated as log_cf_lk is (_log_cf_at)."""
+        return _log_cf_at(self._log_cf, t)
+
+    def _log_cf(self, t):
+        psi = fourier_transform(self.jump_distribution, t)
+        return (
+            1j * self.drift * t
+            - 0.5 * self.gaussian_mass * t * t
+            + self.lambda_eps * (psi - 1.0)
+        )
+
+
+def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
+    """Drop jumps inside |u| <= epsilon and rescale the rest into a jump law.
+
+    The intensity is nu = (1+u^2)/u^2 dG on |u| > epsilon, in closed form
+    (jump_intensity); its mass is the jump rate, its normalization the jump
+    distribution, and the drift picks up the centering correction
+    gamma - integral u/(1+u^2) d nu.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    G = law.G
+    outer = combine(
+        restrict(G, hi=-epsilon, include_hi=False),
+        restrict(G, lo=epsilon, include_lo=False),
+    )
+    nu, centering = jump_intensity(outer)
+    lam = total_mass(nu)
+    jump_dist = scale(nu, 1.0 / lam) if lam > 0 else CanonicalMeasure.empty()
+    return TruncationResult(
+        epsilon=float(epsilon),
+        lambda_eps=float(lam),
+        jump_distribution=jump_dist,
+        gaussian_mass=atom_mass_at(G, 0.0),
+        drift=law.gamma - centering,
+    )
 
 
 # Cauchy density grid layout, per side: uniform cells on [0,1]; a geometric

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measure import _even_step
+from .measure import _csv_text, _even_step
 
 
 class ZeroCrossing(ValueError):
@@ -30,49 +30,6 @@ class ZeroCrossing(ValueError):
 
 class ProbeOutOfRange(ValueError):
     """A probe difference t_j - t_k falls outside the grid span."""
-
-
-# rows _csv_text formats per block, so only one block's Python values are alive
-_CSV_BLOCK = 1024
-
-
-def _mirror(c: np.ndarray, h: int) -> Optional[bool]:
-    """False if c[i] == c[-1-i] for i < h bit for bit, True if c[i] == -c[-1-i], else None.
-
-    Only finite float64 columns qualify: repr drops a NaN's sign, and ints have no -0.
-    """
-    if not h or c.dtype != np.float64 or not np.isfinite(c).all():
-        return None
-    lower, upper = c[:h][::-1].tobytes(), c[-h:]
-    return False if lower == upper.tobytes() else True if lower == (-upper).tobytes() else None
-
-
-def _csv_text(header: str, *columns) -> str:
-    """The header line, then a row of reprs per index of the equal-length 1-d columns.
-
-    When every column mirrors about the middle row (see _mirror), only the rows
-    from the middle on are formatted; each row above the middle reuses the strings
-    of its mirror row, with the sign flipped in the odd columns.
-    """
-    n = len(columns[0])
-    h = n // 2
-    flips = [_mirror(c, h) for c in columns]
-    start = 0 if None in flips else h
-    lower, upper = [], []
-    for i in range(start, n, _CSV_BLOCK):
-        cells = [map(repr, c[i : i + _CSV_BLOCK].tolist()) for c in columns]
-        if start:
-            cells = [list(c) for c in cells]
-            skip = max(n - h - i, 0)  # the middle row is its own mirror
-            mirrored = [c[skip:][::-1] for c in cells]
-            mirrored = [
-                [s[1:] if s[0] == "-" else "-" + s for s in c] if odd else c
-                for c, odd in zip(mirrored, flips)
-            ]
-            if mirrored[0]:  # empty when the block holds only the middle row
-                lower.append("\n".join(map(",".join, zip(*mirrored))))
-        upper.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join([header, *lower[::-1], *upper, ""])
 
 
 # adjacent-point phase jumps above this are read as a sign flip through zero;

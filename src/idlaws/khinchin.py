@@ -1,6 +1,6 @@
 """Canonical-measure recovery: convolution-root families, tail bounds, the
-windowed-average transform and its Fourier inversion, and truncated
-compound-Poisson approximants.
+windowed-average transform and its Fourier inversion, and the CF errors of
+de Finetti's compound-Poisson approximants.
 
 The chain implemented here goes both ways. Forward: an n-th (or h-th)
 convolution root yields a measure family G_h whose weak limit is the law's
@@ -28,13 +28,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import LevyKhintchinePair, NonFiniteLogCF, jump_intensity, log_cf_lk
+from . import canonical
+from .canonical import LevyKhintchinePair, log_cf_lk, truncate_cp
 from .divisibility import (
     CharacteristicFunctionGrid, _check_conjugate_symmetric, build_cf_grid, symmetric_grid,
 )
 from .measure import (
-    CanonicalMeasure, _even_step, _legendre, atom_mass_at, cdf, combine, fourier_transform,
-    hermitian_fold, integrate, mass_between, restrict, reweight, scale, to_json_dict, total_mass,
+    CanonicalMeasure, _even_step, _legendre, cdf, fourier_transform, hermitian_fold, integrate,
+    mass_between, restrict, reweight, scale, to_json_dict, total_mass,
 )
 
 
@@ -297,10 +298,17 @@ def _mass_centroid(g: CanonicalMeasure, lo: float, hi: float) -> Optional[float]
 
 # extract_limit: sweeps agree within SWEEP_THRESHOLD; atoms carry more than
 # LIMIT_ATOM_FLOOR. Both recoveries read an increment above JUMP_FACTOR times
-# the median one as a jump.
+# the median one as a jump (_jumps).
 SWEEP_THRESHOLD = 1e-3
 LIMIT_ATOM_FLOOR = 1e-4
 JUMP_FACTOR = 5.0
+
+
+def _jumps(rises: np.ndarray, among: np.ndarray, floor: float):
+    """The rises clipped at 0, and the mask of those where among is True that
+    exceed floor and JUMP_FACTOR times the median clipped rise over among."""
+    rises = np.where(rises > 0, rises, 0.0)
+    return rises, among & (rises > max(JUMP_FACTOR * _median(rises[among]), floor))
 
 
 def extract_limit(family: GhFamily, u_grid):
@@ -323,7 +331,8 @@ def extract_limit(family: GhFamily, u_grid):
     if len(family.entries) < 3:
         raise ValueError("need at least 3 family entries to extrapolate")
     u_grid = np.asarray(u_grid, dtype=float)
-    if u_grid.ndim != 1 or u_grid.size < 2 or np.any(np.diff(u_grid) <= 0):
+    ok = u_grid.ndim == 1 and u_grid.size >= 2 and np.all(np.isfinite(u_grid))
+    if not (ok and np.all(np.diff(u_grid) > 0)):
         raise ValueError("u_grid must be 1-d strictly increasing")
 
     hs = [h for h, _ in family.entries]
@@ -362,14 +371,10 @@ def extract_limit(family: GhFamily, u_grid):
     forced_runs = merged_runs
     limit_cdf = extrapolated[-1]
 
-    increments = np.diff(limit_cdf)
-    increments = np.where(increments > 0, increments, 0.0)
-    in_forced = np.zeros(increments.size, dtype=bool)
+    in_forced = np.zeros(u_grid.size - 1, dtype=bool)
     for a, b in forced_runs:
         in_forced[a:b] = True
-    outside = increments[~in_forced]
-    med = _median(outside)
-    is_jump = ~in_forced & (increments > max(JUMP_FACTOR * med, LIMIT_ATOM_FLOOR))
+    increments, is_jump = _jumps(np.diff(limit_cdf), ~in_forced, LIMIT_ATOM_FLOOR)
 
     h_min, g_min = family.entries[-1]
     atoms: dict = {}
@@ -668,10 +673,8 @@ def g_from_k(k_values, u_grid) -> CanonicalMeasure:
             f"(tolerance {sign_tolerance:.3g})"
         )
 
-    drops = np.where(-np.diff(k_values) > 0, -np.diff(k_values), 0.0)
+    drops, is_jump = _jumps(-rises, np.full(rises.size, True), K_ATOM_FLOOR * 1e-3)
     widths = np.diff(u_grid)
-    med = _median(drops)
-    is_jump = drops > max(JUMP_FACTOR * med, K_ATOM_FLOOR * 1e-3)
 
     centers = 0.5 * (u_grid[:-1] + u_grid[1:])
     atoms: dict = {}
@@ -788,69 +791,12 @@ def inversion_report(inv: InversionIntermediates) -> dict:
     }
 
 
-# -- truncated compound-Poisson approximants ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationResult:
-    """Drift + Gaussian + finite-rate jump decomposition at one epsilon."""
-
-    epsilon: float
-    lambda_eps: float
-    jump_distribution: CanonicalMeasure
-    gaussian_mass: float
-    drift: float
-
-    def log_cf(self, t):
-        """Exponent of the assembled approximant CF at t (scalar or array);
-        on a t that mirrors exactly about 0 only the t >= 0 half is evaluated
-        (measure.hermitian_fold). Raises NonFiniteLogCF, as log_cf_lk does, if one is not."""
-        with np.errstate(all="ignore"):
-            out = hermitian_fold(self._log_cf, np.asarray(t, dtype=float))
-        if not np.all(np.isfinite(out)):
-            bad = float(np.ravel(t)[np.argmin(np.isfinite(out))])
-            raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
-        return out if out.shape else complex(out)
-
-    def _log_cf(self, t):
-        psi = fourier_transform(self.jump_distribution, t)
-        return (
-            1j * self.drift * t
-            - 0.5 * self.gaussian_mass * t * t
-            + self.lambda_eps * (psi - 1.0)
-        )
-
-
-def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
-    """Drop jumps inside |u| <= epsilon and rescale the rest into a jump law.
-
-    The intensity is nu = (1+u^2)/u^2 dG on |u| > epsilon, in closed form
-    (jump_intensity); its mass is the jump rate, its normalization the jump
-    distribution, and the drift picks up the centering correction
-    gamma - integral u/(1+u^2) d nu.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    G = law.G
-    outer = combine(
-        restrict(G, hi=-epsilon, include_hi=False),
-        restrict(G, lo=epsilon, include_lo=False),
-    )
-    nu, centering = jump_intensity(outer)
-    lam = total_mass(nu)
-    jump_dist = scale(nu, 1.0 / lam) if lam > 0 else CanonicalMeasure.empty()
-    return TruncationResult(
-        epsilon=float(epsilon),
-        lambda_eps=float(lam),
-        jump_distribution=jump_dist,
-        gaussian_mass=atom_mass_at(G, 0.0),
-        drift=law.gamma - centering,
-    )
+# -- de Finetti sequences -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DeFinettiEntry:
-    truncation: TruncationResult
+    truncation: canonical.TruncationResult
     sup_error: float
 
 

@@ -14,10 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .canonical import LevyKhintchinePair, log_cf_lk, scale_law
-from .divisibility import _csv_text
-from .khinchin import TruncationResult, truncate_cp
-from .measure import quantile
+from .canonical import LevyKhintchinePair, TruncationResult, log_cf_lk, scale_law, truncate_cp
+from .measure import _csv_text, quantile
 
 
 class BadTimes(ValueError):

@@ -31,10 +31,10 @@ from idlaws.canonical import (
     scale_law,
     tail_function_m,
     tail_function_n,
+    truncate_cp,
 )
-from idlaws import canonical, khinchin
+from idlaws import canonical
 from idlaws.divisibility import symmetric_grid
-from idlaws.khinchin import truncate_cp
 from idlaws.measure import (
     CanonicalMeasure,
     InfiniteWeight,
@@ -744,7 +744,6 @@ def test_folded_log_cf_evaluates_half_the_grid(monkeypatch, points) -> None:
         return real_cell_kernel(ts, tables)
 
     monkeypatch.setattr(canonical, "fourier_transform", counted_ft)
-    monkeypatch.setattr(khinchin, "fourier_transform", counted_ft)
     monkeypatch.setattr(canonical, "exp_remainder2", counted_kernel)
     monkeypatch.setattr(canonical, "_cell_kernel", counted_cells)
     t = symmetric_grid(5.0, points)

@@ -392,7 +392,7 @@ VERB_MODULES = [
     ),
     (
         ["simulate", "--catalog", "poisson:1,1", "--epsilon", "0.5", "--steps", "2"],
-        ["divisibility", "khinchin", "simulate"],
+        ["simulate"],
     ),
 ]
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idlaws import cli, divisibility
+from idlaws import cli, divisibility, measure
 from idlaws.canonical import CompoundPoissonSpec, catalog, log_cf_lk
 from idlaws.divisibility import (
     PHASE_FLIP_THRESHOLD,
@@ -461,7 +461,7 @@ def test_grid_csv_matches_row_by_row_reference() -> None:
 
 def test_csv_formats_a_mirrored_table_once_per_half(monkeypatch) -> None:
     calls = []
-    monkeypatch.setattr(divisibility, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    monkeypatch.setattr(measure, "repr", lambda x: calls.append(x) or repr(x), raising=False)
 
     def reprs(write) -> int:
         calls.clear()

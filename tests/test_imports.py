@@ -105,7 +105,8 @@ def test_no_stranded_private_helpers() -> None:
     assert stranded_privates(sources) == []
 
 
-# idlaws.__all__ as it was when the package imported every submodule eagerly
+# the names idlaws.__all__ has had since the package imported every submodule
+# eagerly, in the order of their defining modules
 PUBLIC_NAMES = [
     "__version__",
     "CanonicalMeasure", "InfiniteWeight", "MissingAtomValue", "cdf", "integrate", "quantile",
@@ -113,14 +114,14 @@ PUBLIC_NAMES = [
     "BadParameter", "CompoundPoissonSpec", "InfiniteVariance", "KolmogorovPair",
     "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "kolmogorov_to_lk",
     "law_from_json_dict", "law_to_json_dict", "law_to_lk", "lk_to_kolmogorov", "lk_to_levy",
-    "levy_to_lk", "log_cf", "log_cf_lk", "scale_law",
+    "levy_to_lk", "log_cf", "log_cf_lk", "scale_law", "truncate_cp",
     "CharacteristicFunctionGrid", "DivisibilityReport", "ProbeOutOfRange", "ZeroCrossing",
     "build_cf_grid", "build_log_cf_grid", "grid_to_csv", "nth_root", "psd_check",
     "symmetric_grid", "verify_infinitely_divisible",
     "BoundViolated", "GhFamily", "InsufficientSpan", "InversionIntermediates", "NoConvergence",
     "OutOfRange", "SignViolation", "definetti_sequence", "delta", "delta_profile",
     "extract_limit", "g_from_k", "g_h_from_root", "gnedenko_tail_check", "i_h",
-    "inversion_report", "invert_cf", "k_from_delta", "tail_bounds", "truncate_cp",
+    "inversion_report", "invert_cf", "k_from_delta", "tail_bounds",
     "BadTimes", "EmpiricalCF", "ProcessSpec", "ScalingReport", "TriangularArrayReport",
     "empirical_cf", "empirical_cf_to_csv", "paths_to_csv", "sample_increments", "sample_paths",
     "scaling_check", "stream_for", "triangular_array_check",
@@ -141,3 +142,42 @@ def test_lazy_namespace_keeps_the_public_names() -> None:
     with pytest.raises(AttributeError, match="no_such_name"):
         idlaws.no_such_name
     assert {"__all__", *PUBLIC_NAMES} <= set(dir(idlaws))
+
+
+# the package modules each module may import at its top level; cli imports
+# the rest of what a verb runs inside that verb's function
+MAY_IMPORT = {
+    "__init__": set(),
+    "measure": set(),
+    "canonical": {"measure"},
+    "divisibility": {"measure"},
+    "khinchin": {"canonical", "divisibility", "measure"},
+    "simulate": {"canonical", "measure"},
+    "cli": {"canonical", "measure"},
+}
+
+
+def package_imports(source: str) -> set:
+    """The package modules named by a module's top-level relative imports
+    (a name ``from . import`` takes from the package itself is not one)."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {node.module} if node.module else {a.name for a in node.names}
+            out |= names & MAY_IMPORT.keys()
+    return out
+
+
+def test_package_imports_finds_each_form() -> None:
+    source = (
+        "from . import canonical, __version__\n"
+        "from .measure import cdf\n"
+        "import numpy as np\n\n"
+        "def verb():\n    from .khinchin import delta\n"
+    )
+    assert package_imports(source) == {"canonical", "measure"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_the_layers_below(path) -> None:
+    assert package_imports(path.read_text(encoding="utf-8")) <= MAY_IMPORT[path.stem]

@@ -13,6 +13,7 @@ from idlaws.canonical import (
     NonFiniteLogCF,
     catalog,
     log_cf_lk,
+    truncate_cp,
 )
 from idlaws import khinchin
 from idlaws.divisibility import (
@@ -51,7 +52,6 @@ from idlaws.khinchin import (
     poisson_root_distribution,
     sinc_deficit,
     tail_bounds,
-    truncate_cp,
 )
 from idlaws.measure import (
     CanonicalMeasure,
@@ -444,9 +444,23 @@ def test_extract_limit_jitter_raises(poisson_family) -> None:
 
 
 def test_extract_limit_needs_three_entries(poisson_family) -> None:
+    u_grid = np.arange(-0.5, 3.5 + 1e-9, 0.05)
     fam = GhFamily(entries=poisson_family.entries[:2], cf=poisson_family.cf)
     with pytest.raises(ValueError):
-        extract_limit(fam, np.arange(-0.5, 3.5 + 1e-9, 0.05))
+        extract_limit(fam, u_grid)
+    # a bad u_grid is refused before any sweep (a NaN used to fail in restrict)
+    nan_inside = u_grid.copy()
+    nan_inside[10] = np.nan
+    for bad in (
+        nan_inside,
+        np.append(u_grid, np.inf),
+        np.insert(u_grid, 0, -np.inf),
+        u_grid[::-1],
+        u_grid[:1],
+        u_grid.reshape(1, -1),
+    ):
+        with pytest.raises(ValueError, match="u_grid must be 1-d strictly increasing"):
+            extract_limit(poisson_family, bad)
 
 
 # -- the Delta functional ---------------------------------------------------------

@@ -20,16 +20,15 @@ from idlaws.canonical import (
     log_cf_lk,
     scale_law,
 )
-from idlaws import divisibility
+from idlaws import measure
 from idlaws.divisibility import (
-    _csv_text,
     build_cf_grid,
     build_log_cf_grid,
     nth_root,
     symmetric_grid,
     verify_infinitely_divisible,
 )
-from idlaws.measure import CanonicalMeasure, cdf, quantile, restrict, total_mass
+from idlaws.measure import CanonicalMeasure, _csv_text, cdf, quantile, restrict, total_mass
 from idlaws.simulate import ProcessSpec, sample_paths
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -244,8 +243,8 @@ def test_csv_text_matches_row_by_row_reprs(columns, block) -> None:
     header = ",".join(f"c{j}" for j in range(len(columns)))
     rows = zip(*(c.tolist() for c in columns))
     expect = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    saved, divisibility._CSV_BLOCK = divisibility._CSV_BLOCK, block
+    saved, measure._CSV_BLOCK = measure._CSV_BLOCK, block
     try:
         assert _csv_text(header, *columns) == expect
     finally:
-        divisibility._CSV_BLOCK = saved
+        measure._CSV_BLOCK = saved

@@ -7,9 +7,9 @@ shape, equal to the helper called on each element alone.
 import numpy as np
 import pytest
 
-from idlaws.canonical import catalog, log_cf_lk
+from idlaws.canonical import catalog, log_cf_lk, truncate_cp
 from idlaws.divisibility import build_cf_grid
-from idlaws.khinchin import delta, i_h, truncate_cp
+from idlaws.khinchin import delta, i_h
 from idlaws.measure import CanonicalMeasure, fourier_transform
 
 # fewer than 16 points and no mirror, so fourier_transform takes one direct
