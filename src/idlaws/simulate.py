@@ -36,10 +36,21 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
 
 
-def _counter_words(path_index: int, interval_index: int) -> tuple:
-    """Philox counter words, low first, of Philox(key).jumped(offset): offset * 2^128."""
-    offset = (path_index * _INTERVALS_PER_PATH + interval_index) % (1 << 128)
-    return (0, 0, offset & ((1 << 64) - 1), offset >> 64)
+def _path_array(indices) -> np.ndarray:
+    """Path indices as uint64: ValueError outside [0, 2^64), TypeError for a non-int."""
+    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
+        if indices.min(initial=0) >= 0:  # else fromiter below refuses the negative one
+            return indices.astype(np.uint64, copy=False)
+    try:  # one by one: operator.index refuses floats, fromiter ints outside [0, 2^64)
+        return np.fromiter(map(operator.index, indices), dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("path_index must lie in [0, 2^64)") from None
+
+
+def _counter_words(paths: np.ndarray, intervals) -> tuple:
+    """The high Philox counter words (lo, hi) of streams at uint64 paths and intervals < 2^20:
+    the offset path * 2^20 + interval, below 2^84 so it never wraps."""
+    return (paths << 20) | np.asarray(intervals, dtype=np.uint64), paths >> 44
 
 
 def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
@@ -48,15 +59,13 @@ def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
     Streams are non-overlapping 2^128-step segments of one counter-based
     Philox sequence, so concurrent path generation is deterministic and
     draws for different keys never correlate. Each path owns 2^20 interval
-    slots.
+    slots; path indices lie in [0, 2^64).
     """
-    path_index, interval_index = operator.index(path_index), operator.index(interval_index)
+    paths, interval_index = _path_array([path_index]), operator.index(interval_index)
     if not 0 <= interval_index < _INTERVALS_PER_PATH:
         raise ValueError("interval_index must lie in [0, 2^20)")
-    if path_index < 0:
-        raise ValueError("path_index must be non-negative")
-    # uint64 keeps words >= 2^63 from casting through float
-    counter = np.array(_counter_words(path_index, interval_index), dtype=np.uint64)
+    lo, hi = _counter_words(paths, interval_index)
+    counter = np.array([0, 0, *lo, *hi], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
@@ -70,6 +79,8 @@ class ProcessSpec:
     seed: int
 
     def __post_init__(self):
+        if not 0 <= operator.index(self.seed) < 1 << 128:
+            raise ValueError(f"seed must lie in [0, 2^128), got {self.seed}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
@@ -154,9 +165,7 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
         raise BadTimes("times must start at 0")
     if times.size - 1 > _INTERVALS_PER_PATH:
         raise ValueError(f"at most 2^20 intervals per path, got {times.size - 1}")
-    paths = [operator.index(p) for p in path_indices]  # Python ints: offsets pass 2^64
-    if any(p < 0 for p in paths):
-        raise ValueError("path_index must be non-negative")
+    paths = _path_array(path_indices)
     gaps = np.diff(times)
     if not np.all(gaps > 0):  # a NaN gap fails this too
         raise BadTimes("times must be strictly increasing")
@@ -176,25 +185,22 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
     quick = drawn & (lam < 10.0) & (sds is None)  # what a first block may settle
     # e^-lam from libm, as numpy's C code takes it; np.exp may differ by an ulp
     e_lam = np.array([math.exp(-x) for x in lams])
-    # path offsets in the stream layout; their low 20 bits are 0, so lo + k never carries
-    offsets = [divmod(p * _INTERVALS_PER_PATH % (1 << 128), 1 << 64) for p in paths]
-    hi, lo = np.array(offsets, dtype=np.uint64).reshape(-1, 2).T
     owners, uniforms = [], []
     for start in range(0, inc.size, _SAMPLE_BLOCK):
         j = np.arange(start, min(start + _SAMPLE_BLOCK, inc.size))
         row, k = np.divmod(j, m)
         reset, q = drawn[k], quick[k]
         if q.any():
-            words = _philox_block(key, lo[row[q]] + k[q].astype(np.uint64), hi[row[q]])
+            words = _philox_block(key, *_counter_words(paths[row[q]], k[q]))
             u0, u1, u2 = ((w >> 11) * 2.0**-53 for w in words[:3])  # next_double
             e = e_lam[k[q]]
             one, more = u0 > e, u0 * u1 > e
             owners.append(j[q][one & ~more])
             uniforms.append(u2[one & ~more])
             reset[q] = one & more
-        for jj in j[reset].tolist():
-            p, kk = divmod(jj, m)
-            state["state"]["counter"] = _counter_words(paths[p], kk)
+        lo, hi = (w.tolist() for w in _counter_words(paths[row[reset]], k[reset]))
+        for jj, kk, lo_r, hi_r in zip(j[reset].tolist(), k[reset].tolist(), lo, hi):
+            state["state"]["counter"] = (0, 0, lo_r, hi_r)
             bits.state = state
             if sds is not None:
                 inc[jj] += stream.normal(0.0, sds[kk])
@@ -292,14 +298,7 @@ def scaling_check(
         inside = np.abs(est.estimates - target) <= est.half_widths
         frac = float(np.mean(inside))
         ok = exact_err < 1e-12 and frac >= MIN_ENVELOPE_FRACTION
-        entries.append(
-            ScalingEntry(
-                lam=float(lam),
-                exact_error=exact_err,
-                envelope_fraction=frac,
-                passed=ok,
-            )
-        )
+        entries.append(ScalingEntry(float(lam), exact_err, frac, ok))
     return ScalingReport(entries=tuple(entries), passed=all(e.passed for e in entries))
 
 

@@ -162,6 +162,16 @@ def test_malformed_input_exits_2_and_writes_nothing(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 128])
+def test_seed_is_refused_before_the_truncation(seed, tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setattr(simulate, "truncate_cp", _refuse)
+    argv = ["simulate", "--catalog", "poisson:1,1", "--seed", str(seed), "--out", str(tmp_path / "p")]
+    assert cli.main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "ValueError" and "[0, 2^128)" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def convert(law, tmp_path) -> int:
     path = tmp_path / "law.json"
     path.write_text(json.dumps(law))

@@ -1,6 +1,7 @@
 """Tests for keyed-stream sampling, empirical CFs, and the statistical checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,10 @@ def test_process_spec_validation() -> None:
     for horizon in (math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
             ProcessSpec(law=law, epsilon=0.1, horizon=horizon, seed=0)
+    # the Philox key: checked here, not first by numpy once truncate_cp has run
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^128\)"):
+            ProcessSpec(law=law, epsilon=0.1, horizon=1.0, seed=seed)
 
 
 def test_path_sample_length_mismatch() -> None:
@@ -107,9 +112,8 @@ def test_philox_block_matches_numpy(key) -> None:
         assert np.array_equal(g, want.random_raw(4))
 
 
-@pytest.mark.parametrize(
-    "offset", [0, 5, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 128) - 1, (1 << 128) + 7]
-)
+# (1 << 84) - 1 is the largest offset: path 2^64 - 1, interval 2^20 - 1
+@pytest.mark.parametrize("offset", [0, 5, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 84) - 1])
 def test_stream_for_matches_jumped_philox(offset) -> None:
     path, interval = divmod(offset, 1 << 20)
     got = stream_for(99, path, interval)
@@ -123,6 +127,24 @@ def test_stream_for_validates_indices() -> None:
         stream_for(0, -1, 0)
     with pytest.raises(ValueError):
         stream_for(0, 0, 1 << 20)
+
+
+# path indices outside [0, 2^64), whose offsets would pass 2^84 or fall below 0;
+# with offsets taken mod 2^128, as they once were, (1 << 108) + 5 drew path 5's streams
+_OUTSIDE = [-1, 1 << 64, (1 << 108) - 1, 1 << 108, (1 << 108) + 5]
+
+
+@pytest.mark.parametrize("path", _OUTSIDE)
+def test_path_indices_outside_uint64_raise_before_drawing(path, monkeypatch) -> None:
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    spec = ProcessSpec(law=catalog("poisson", 2.0, 3.0), epsilon=0.5, horizon=3.0, seed=7)
+    with pytest.raises(ValueError, match="path_index"):
+        stream_for(7, path, 3)
+    with pytest.raises(ValueError, match="path_index"):
+        sample_paths(spec, np.linspace(0.0, 3.0, 31), [5, path])
 
 
 # -- increments ---------------------------------------------------------------------
@@ -225,9 +247,8 @@ def reference_path(spec, times, path_index=0):
 
 
 _UNEVEN = np.cumsum(np.r_[0.0, np.random.default_rng(3).exponential(0.05, 50)])
-# paths whose offsets lie just below, at and just past the 2^128 counter wrap,
-# and two path indices past 2^63
-_FAR = [(1 << 108) - 1, 1 << 108, (1 << 108) + 5, (1 << 63) + 3, 12345678901234567890]
+# path indices past 2^63, up to the largest, 2^64 - 1
+_FAR = [(1 << 63) + 3, 12345678901234567890, (1 << 64) - 1]
 
 SAMPLER_CASES = {
     "poisson": (catalog("poisson", 1.0, 1.0), 0.5, np.linspace(0.0, 10.0, 201), range(10)),
@@ -269,23 +290,43 @@ def test_sample_path_matches_per_interval_streams(case, seed, monkeypatch) -> No
 def test_sample_paths_takes_numpy_path_indices() -> None:
     spec = ProcessSpec(law=catalog("poisson", 3.0, 1.0), epsilon=0.5, horizon=2.0, seed=5)
     times = np.linspace(0.0, 2.0, 5)
-    got = sample_paths(spec, times, np.arange(3, 6, dtype=np.uint64))
-    assert got.tobytes() == sample_paths(spec, times, [3, 4, 5]).tobytes()
-    with pytest.raises(TypeError):
-        sample_paths(spec, times, [1.0])
+    want = sample_paths(spec, times, range(3, 6)).tobytes()
+    assert sample_paths(spec, times, [3, 4, 5]).tobytes() == want
+    for kind in (np.int64, np.uint64):
+        assert sample_paths(spec, times, np.arange(3, 6, dtype=kind)).tobytes() == want
+    assert sample_paths(spec, times, []).shape == (0, 5)
+    for floats in ([1.0], np.array([1.0])):
+        with pytest.raises(TypeError):
+            sample_paths(spec, times, floats)
+
+
+def test_sample_paths_holds_no_python_object_per_path() -> None:
+    # 2^18 one-interval paths that no interval resets; a Python int and a
+    # divmod tuple per path put the peak at 54.6 MiB, and uint64 arrays at 19 MiB
+    spec = ProcessSpec(law=catalog("poisson", 1e-9, 1.0), epsilon=0.5, horizon=1.0, seed=3)
+    tracemalloc.start()
+    try:
+        sample_paths(spec, [0.0, 1.0], range(1 << 18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def _resets(monkeypatch, spec, times, paths) -> int:
     """Counter resets, one per interval that its first Philox block leaves open."""
-    calls, counter_words = [0], simulate._counter_words
+    philox, writes = np.random.Philox, [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return counter_words(*args)
+    def write(bits, state):
+        writes[0] += 1
+        philox.state.__set__(bits, state)
 
-    monkeypatch.setattr(simulate, "_counter_words", counted)
+    class Counted(philox):
+        state = property(philox.state.__get__, write)
+
+    monkeypatch.setattr(np.random, "Philox", Counted)
     sample_paths(spec, times, paths)
-    return calls[0]
+    return writes[0]
 
 
 def test_first_blocks_settle_most_intervals(monkeypatch) -> None:
