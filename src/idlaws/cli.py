@@ -249,7 +249,7 @@ def _run_simulate(args) -> int:
     if jumps > MAX_SIZE:
         raise BadOption(f"the expected jump count {jumps:.4g} is above the limit {MAX_SIZE}")
     times = np.linspace(0.0, args.horizon, args.steps + 1)
-    values = sample_paths(spec, times, np.arange(args.paths))
+    values = sample_paths(spec, times, range(args.paths))
     texts = [(_out_path(args, "paths.csv"), paths_to_csv(times, values))]
     if args.cf_out:
         t_grid = np.linspace(-args.cf_t_max, args.cf_t_max, args.cf_points)

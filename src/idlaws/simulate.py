@@ -38,18 +38,14 @@ _LOW32, _LOW64 = (1 << 32) - 1, (1 << 64) - 1
 
 def _path_array(indices) -> np.ndarray:
     """Path indices as uint64: ValueError outside [0, 2^64), TypeError for a non-int."""
-    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
-        if indices.min(initial=0) >= 0:  # else fromiter below refuses the negative one
-            return indices.astype(np.uint64, copy=False)
-    try:  # one by one: operator.index refuses floats, fromiter ints outside [0, 2^64)
+    try:  # operator.index refuses floats; numpy >= 2 refuses ints outside [0, 2^64)
         return np.fromiter(map(operator.index, indices), dtype=np.uint64)
     except OverflowError:
         raise ValueError("path_index must lie in [0, 2^64)") from None
 
 
 def _counter_words(paths: np.ndarray, intervals) -> tuple:
-    """The high Philox counter words (lo, hi) of streams at uint64 paths and intervals < 2^20:
-    the offset path * 2^20 + interval, below 2^84 so it never wraps."""
+    """High Philox counter words (lo, hi) of offset path * 2^20 + interval < 2^84: no wrap."""
     return (paths << 20) | np.asarray(intervals, dtype=np.uint64), paths >> 44
 
 
@@ -298,7 +294,14 @@ def scaling_check(
         inside = np.abs(est.estimates - target) <= est.half_widths
         frac = float(np.mean(inside))
         ok = exact_err < 1e-12 and frac >= MIN_ENVELOPE_FRACTION
-        entries.append(ScalingEntry(float(lam), exact_err, frac, ok))
+        entries.append(
+            ScalingEntry(
+                lam=float(lam),
+                exact_error=exact_err,
+                envelope_fraction=frac,
+                passed=ok,
+            )
+        )
     return ScalingReport(entries=tuple(entries), passed=all(e.passed for e in entries))
 
 
