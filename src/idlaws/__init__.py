@@ -13,24 +13,25 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "measure": (
         "CanonicalMeasure", "InfiniteWeight", "MissingAtomValue", "cdf", "integrate",
-        "quantile", "restrict", "reweight", "total_mass",
+        "quantile", "restrict", "reweight", "symmetric_grid", "total_mass",
     ),
     "canonical": (
         "BadParameter", "CompoundPoissonSpec", "InfiniteVariance", "KolmogorovPair",
-        "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "kolmogorov_to_lk",
-        "law_from_json_dict", "law_to_json_dict", "law_to_lk", "lk_to_kolmogorov",
-        "lk_to_levy", "levy_to_lk", "log_cf", "log_cf_lk", "scale_law", "truncate_cp",
+        "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "definetti_sequence",
+        "kolmogorov_to_lk", "law_from_json_dict", "law_to_json_dict", "law_to_lk",
+        "lk_to_kolmogorov", "lk_to_levy", "levy_to_lk", "log_cf", "log_cf_lk", "scale_law",
+        "truncate_cp",
     ),
     "divisibility": (
         "CharacteristicFunctionGrid", "DivisibilityReport", "ProbeOutOfRange",
         "ZeroCrossing", "build_cf_grid", "build_log_cf_grid", "grid_to_csv", "nth_root",
-        "psd_check", "symmetric_grid", "verify_infinitely_divisible",
+        "psd_check", "verify_infinitely_divisible",
     ),
     "khinchin": (
         "BoundViolated", "GhFamily", "InsufficientSpan", "InversionIntermediates",
-        "NoConvergence", "OutOfRange", "SignViolation", "definetti_sequence", "delta",
-        "delta_profile", "extract_limit", "g_from_k", "g_h_from_root", "gnedenko_tail_check",
-        "i_h", "inversion_report", "invert_cf", "k_from_delta", "tail_bounds",
+        "NoConvergence", "OutOfRange", "SignViolation", "delta", "delta_profile",
+        "extract_limit", "g_from_k", "g_h_from_root", "gnedenko_tail_check", "i_h",
+        "inversion_report", "invert_cf", "k_from_delta", "tail_bounds",
     ),
     "simulate": (
         "BadTimes", "EmpiricalCF", "ProcessSpec", "ScalingReport", "TriangularArrayReport",

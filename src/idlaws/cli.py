@@ -19,12 +19,14 @@ import numpy as np
 
 from . import __version__
 
-# every verb resolves a law through canonical and measure; each _run_<verb>
-# imports the rest of what it runs, so a call loads only its verb's modules
+# every verb resolves a law through canonical and measure, which hold all of
+# approx-cp; each other _run_<verb> imports the rest of what it runs, so a
+# call loads only its verb's modules
 from .canonical import (
     CompoundPoissonSpec,
     LevyKhintchinePair,
     catalog,
+    definetti_sequence,
     law_from_json_dict,
     law_to_json_dict,
     law_to_lk,
@@ -32,7 +34,7 @@ from .canonical import (
     lk_to_levy,
     log_cf_lk,
 )
-from .measure import CanonicalMeasure, _json_atoms, _json_number, _json_object
+from .measure import CanonicalMeasure, _json_atoms, _json_number, _json_object, symmetric_grid
 
 OUTPUT_DIR_ENV = "IDLAWS_OUTPUT_DIR"
 
@@ -203,9 +205,6 @@ def _run_verify_id(args) -> int:
 
 
 def _run_approx_cp(args) -> int:
-    from .divisibility import symmetric_grid
-    from .khinchin import definetti_sequence
-
     law = _resolve_law(args)
     epsilons = [float(e) for e in args.epsilons.split(",")]
     t_grid = symmetric_grid(args.t_max, args.points)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measure import _csv_text, _even_step
+from .measure import _csv_text, _even_step, symmetric_grid
 
 
 class ZeroCrossing(ValueError):
@@ -124,24 +124,6 @@ def _unwrapped_log(t_grid, values) -> np.ndarray:
     logs = np.log(np.abs(values)) + 1j * phase
     logs[mid] = 0.0
     return logs
-
-
-def symmetric_grid(t_max: float, points: int) -> np.ndarray:
-    """points t on [-t_max, t_max], evenly spaced and mirrored exactly.
-
-    The t >= 0 half is an np.linspace and the other half its negation, so
-    t == -t[::-1] bit for bit; an odd grid has 0.0 in the middle, an even
-    one the half linspace(t_max / (points - 1), t_max, points / 2).
-    """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    if points < 1:
-        raise ValueError("points must be at least 1")
-    if points % 2:
-        half = np.linspace(0.0, t_max, points // 2 + 1)
-        return np.concatenate([-half[:0:-1], half])
-    half = np.linspace(t_max / (points - 1), t_max, points // 2)
-    return np.concatenate([-half[::-1], half])
 
 
 def _sample(evaluator, t_max: float, points: int):

@@ -1,6 +1,5 @@
-"""Canonical-measure recovery: convolution-root families, tail bounds, the
-windowed-average transform and its Fourier inversion, and the CF errors of
-de Finetti's compound-Poisson approximants.
+"""Canonical-measure recovery: convolution-root families, tail bounds, and the
+windowed-average transform and its Fourier inversion.
 
 The chain implemented here goes both ways. Forward: an n-th (or h-th)
 convolution root yields a measure family G_h whose weak limit is the law's
@@ -28,14 +27,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import canonical
-from .canonical import LevyKhintchinePair, log_cf_lk, truncate_cp
-from .divisibility import (
-    CharacteristicFunctionGrid, _check_conjugate_symmetric, build_cf_grid, symmetric_grid,
-)
+from .canonical import LevyKhintchinePair, log_cf_lk
+from .divisibility import CharacteristicFunctionGrid, _check_conjugate_symmetric, build_cf_grid
 from .measure import (
-    CanonicalMeasure, _even_step, _legendre, cdf, fourier_transform, hermitian_fold, integrate,
-    mass_between, restrict, reweight, scale, to_json_dict, total_mass,
+    CanonicalMeasure, _even_step, _legendre, cdf, integrate, mass_between, restrict, reweight,
+    scale, symmetric_grid, to_json_dict, total_mass,
 )
 
 
@@ -789,69 +785,3 @@ def inversion_report(inv: InversionIntermediates) -> dict:
         "drift": inv.drift,
         "reconstruction_error": inv.reconstruction_error,
     }
-
-
-# -- de Finetti sequences -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeFinettiEntry:
-    truncation: canonical.TruncationResult
-    sup_error: float
-
-
-def definetti_sequence(
-    law: LevyKhintchinePair,
-    epsilons: Sequence[float],
-    t_grid=None,
-) -> list:
-    """Compound-Poisson approximants at decreasing epsilon, with CF errors.
-
-    sup_error compares approximant and exact CF values (not exponents) on
-    t_grid; the exact CF is the law's own log_cf_lk.
-    """
-    eps = list(epsilons)
-    if any(not 0 < e < np.inf for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be finite, positive and strictly decreasing")
-    if t_grid is None:
-        t_grid = symmetric_grid(5.0, 201)
-    t_grid = np.asarray(t_grid, dtype=float)
-    ref_cf = np.exp(log_cf_lk(law, t_grid))
-    truncations = [truncate_cp(law, e) for e in eps]
-    out = []
-    for tr, log_phi in zip(truncations, _nested_log_cfs(law.G, truncations, t_grid)):
-        err = float(np.max(np.abs(np.exp(log_phi) - ref_cf)))
-        out.append(DeFinettiEntry(truncation=tr, sup_error=err))
-    return out
-
-
-def _nested_log_cfs(G: CanonicalMeasure, truncations, t):
-    """TruncationResult.log_cf(t) of each truncation of a law with measure G,
-    the truncations at strictly decreasing epsilon.
-
-    Such truncations are nested: the nu cells beyond the first G edge at or
-    past the previous cutoff (on each side) are the same in both. So
-    lambda psi, the transform of nu, is the previous one less the previous
-    truncation's band inside those edges, plus this truncation's band. An
-    atom law (no edges) calls TruncationResult.log_cf.
-    """
-    if not G.edges.size:
-        return [tr.log_cf(t) for tr in truncations]
-
-    def transform(tr, lo=-np.inf, hi=np.inf):
-        jumps = restrict(tr.jump_distribution, lo, hi)
-        return tr.lambda_eps * hermitian_fold(lambda ts: fourier_transform(jumps, ts), t)
-
-    out, prev = [], None
-    for tr in truncations:
-        if prev is None:
-            lam_psi = transform(tr)
-        else:
-            i = np.searchsorted(G.edges, prev.epsilon)
-            j = np.searchsorted(G.edges, -prev.epsilon, side="right") - 1
-            lo = G.edges[j] if j >= 0 else -np.inf
-            hi = G.edges[i] if i < G.edges.size else np.inf
-            lam_psi = lam_psi - transform(prev, lo, hi) + transform(tr, lo, hi)
-        out.append(1j * tr.drift * t - 0.5 * tr.gaussian_mass * t * t + (lam_psi - tr.lambda_eps))
-        prev = tr
-    return out

@@ -425,6 +425,24 @@ def quantile(m: CanonicalMeasure, q):
     return float(out[0]) if np.isscalar(q) or np.ndim(q) == 0 else out
 
 
+def symmetric_grid(t_max: float, points: int) -> np.ndarray:
+    """points t on [-t_max, t_max], evenly spaced and mirrored exactly.
+
+    The t >= 0 half is an np.linspace and the other half its negation, so
+    t == -t[::-1] bit for bit; an odd grid has 0.0 in the middle, an even
+    one the half linspace(t_max / (points - 1), t_max, points / 2).
+    """
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if points < 1:
+        raise ValueError("points must be at least 1")
+    if points % 2:
+        half = np.linspace(0.0, t_max, points // 2 + 1)
+        return np.concatenate([-half[:0:-1], half])
+    half = np.linspace(t_max / (points - 1), t_max, points // 2)
+    return np.concatenate([-half[::-1], half])
+
+
 def hermitian_fold(f, t):
     """f(t) for an f with f(-t) = conj f(t), evaluated on half of a mirrored t.
 

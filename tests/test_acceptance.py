@@ -14,6 +14,7 @@ from idlaws.canonical import (
     CompoundPoissonSpec,
     LevyKhintchinePair,
     catalog,
+    definetti_sequence,
     lk_to_kolmogorov,
     lk_to_levy,
     log_cf,
@@ -21,7 +22,6 @@ from idlaws.canonical import (
 )
 from idlaws.divisibility import build_cf_grid, build_log_cf_grid, nth_root, verify_infinitely_divisible
 from idlaws.khinchin import (
-    definetti_sequence,
     delta,
     extract_limit,
     gnedenko_tail_check,

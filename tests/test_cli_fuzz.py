@@ -4,15 +4,17 @@ error and writes no artifact.
 Every case runs through cli.main in this process. The oversized ones, and an
 option whose grid would overflow, must be refused before any grid or path is
 built, so the functions that would build one fail the test if they are
-reached. The verbs import those functions from their defining modules when
-they run, so that is where they are replaced.
+reached. They are replaced on the module whose binding each verb calls. Every
+verb module is imported here, before any test patches one: a module first
+imported during a patch would bind the stub for the rest of the session.
 """
 
 import json
+import sys
 
 import pytest
 
-from idlaws import cli, divisibility, simulate
+from idlaws import cli, divisibility, khinchin, simulate
 
 
 def lk(**G):
@@ -106,10 +108,24 @@ def _refuse_builders(monkeypatch) -> None:
     """Make every function that builds a grid or paths for a verb fail the test."""
     for module, name in (
         (divisibility, "build_log_cf_grid"),
-        (divisibility, "symmetric_grid"),
+        (cli, "symmetric_grid"),
         (simulate, "sample_paths"),
     ):
         monkeypatch.setattr(module, name, _refuse)
+
+
+@pytest.fixture(autouse=True)
+def no_stub_outlives_its_test():
+    # set up before monkeypatch, so this runs after its patches are undone
+    yield
+    leaks = [
+        f"{module}.{name}"
+        for module, mod in list(sys.modules.items())
+        if module == "idlaws" or module.startswith("idlaws.")
+        for name, value in list(vars(mod).items())
+        if value is _refuse
+    ]
+    assert leaks == []
 
 
 @pytest.mark.parametrize(

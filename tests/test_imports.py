@@ -110,18 +110,19 @@ def test_no_stranded_private_helpers() -> None:
 PUBLIC_NAMES = [
     "__version__",
     "CanonicalMeasure", "InfiniteWeight", "MissingAtomValue", "cdf", "integrate", "quantile",
-    "restrict", "reweight", "total_mass",
+    "restrict", "reweight", "symmetric_grid", "total_mass",
     "BadParameter", "CompoundPoissonSpec", "InfiniteVariance", "KolmogorovPair",
-    "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "kolmogorov_to_lk",
-    "law_from_json_dict", "law_to_json_dict", "law_to_lk", "lk_to_kolmogorov", "lk_to_levy",
-    "levy_to_lk", "log_cf", "log_cf_lk", "scale_law", "truncate_cp",
+    "LevyKhintchinePair", "LevyTriplet", "NonFiniteLogCF", "catalog", "definetti_sequence",
+    "kolmogorov_to_lk", "law_from_json_dict", "law_to_json_dict", "law_to_lk",
+    "lk_to_kolmogorov", "lk_to_levy", "levy_to_lk", "log_cf", "log_cf_lk", "scale_law",
+    "truncate_cp",
     "CharacteristicFunctionGrid", "DivisibilityReport", "ProbeOutOfRange", "ZeroCrossing",
     "build_cf_grid", "build_log_cf_grid", "grid_to_csv", "nth_root", "psd_check",
-    "symmetric_grid", "verify_infinitely_divisible",
+    "verify_infinitely_divisible",
     "BoundViolated", "GhFamily", "InsufficientSpan", "InversionIntermediates", "NoConvergence",
-    "OutOfRange", "SignViolation", "definetti_sequence", "delta", "delta_profile",
-    "extract_limit", "g_from_k", "g_h_from_root", "gnedenko_tail_check", "i_h",
-    "inversion_report", "invert_cf", "k_from_delta", "tail_bounds",
+    "OutOfRange", "SignViolation", "delta", "delta_profile", "extract_limit", "g_from_k",
+    "g_h_from_root", "gnedenko_tail_check", "i_h", "inversion_report", "invert_cf",
+    "k_from_delta", "tail_bounds",
     "BadTimes", "EmpiricalCF", "ProcessSpec", "ScalingReport", "TriangularArrayReport",
     "empirical_cf", "empirical_cf_to_csv", "paths_to_csv", "sample_increments", "sample_paths",
     "scaling_check", "stream_for", "triangular_array_check",

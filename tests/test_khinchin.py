@@ -12,10 +12,11 @@ from idlaws.canonical import (
     LevyKhintchinePair,
     NonFiniteLogCF,
     catalog,
+    definetti_sequence,
     log_cf_lk,
     truncate_cp,
 )
-from idlaws import khinchin
+from idlaws import canonical, khinchin
 from idlaws.divisibility import (
     CharacteristicFunctionGrid,
     ProbeOutOfRange,
@@ -35,7 +36,6 @@ from idlaws.khinchin import (
     _median,
     _simpson_weights,
     _taper_window,
-    definetti_sequence,
     delta,
     delta_kernel_weight,
     delta_profile,
@@ -1002,7 +1002,7 @@ def test_definetti_shares_one_jump_transform(law, epsilons) -> None:
     log_cf within 1e-13 max(lambda, |log phi|)."""
     t = symmetric_grid(5.0, 201)
     truncations = [truncate_cp(law, e) for e in epsilons]
-    for tr, got in zip(truncations, khinchin._nested_log_cfs(law.G, truncations, t)):
+    for tr, got in zip(truncations, canonical._nested_log_cfs(law.G, truncations, t)):
         want = tr.log_cf(t)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(tr.lambda_eps, np.abs(want)))
 
@@ -1045,7 +1045,9 @@ def test_default_reference_grids_are_exact_mirrors(monkeypatch) -> None:
         seen.append(np.array(t, copy=True))
         return real_log_cf_lk(law, t)
 
+    # invert_cf reads khinchin's binding, definetti_sequence canonical's
     monkeypatch.setattr(khinchin, "log_cf_lk", recording)
+    monkeypatch.setattr(canonical, "log_cf_lk", recording)
     cf = build_log_cf_grid(lambda t: -0.5 * t * t, t_max=41.0, points=8201)
     invert_cf(cf)
     definetti_sequence(catalog("poisson", 1.0, 1.0), [0.5])
