@@ -555,7 +555,11 @@ def definetti_sequence(
     """Compound-Poisson approximants at decreasing epsilon, with CF errors.
 
     sup_error compares approximant and exact CF values (not exponents) on
-    t_grid; the exact CF is the law's own log_cf_lk.
+    t_grid; the exact CF is the law's own log_cf_lk, taken as log_cf_lk of
+    the law less G's cells outside |u| <= 1 plus the transform of their nu
+    (_far_transform), less its mass and centring term. That transform is
+    computed once, and is also the first link of the approximants' chain
+    (_nested_log_cfs).
     """
     eps = list(epsilons)
     if any(not 0 < e < np.inf for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -563,42 +567,75 @@ def definetti_sequence(
     if t_grid is None:
         t_grid = symmetric_grid(5.0, 201)
     t_grid = np.asarray(t_grid, dtype=float)
-    ref_cf = np.exp(log_cf_lk(law, t_grid))
+    _, _, _, inner, _, _, nu_mass, nu_center, _ = _lk_parts(law.G)
+    near = law
+    if inner is not None:
+        near = LevyKhintchinePair(law.gamma, CanonicalMeasure(law.G.atoms, inner.edges, inner.values))
+    far = _far_transform(law.G, t_grid)
+    ref_cf = np.exp(log_cf_lk(near, t_grid) + (far - nu_mass - 1j * t_grid * nu_center))
     truncations = [truncate_cp(law, e) for e in eps]
     out = []
-    for tr, log_phi in zip(truncations, _nested_log_cfs(law.G, truncations, t_grid)):
+    for tr, log_phi in zip(truncations, _nested_log_cfs(law.G, truncations, t_grid, far)):
         err = float(np.max(np.abs(np.exp(log_phi) - ref_cf)))
         out.append(DeFinettiEntry(truncation=tr, sup_error=err))
     return out
 
 
-def _nested_log_cfs(G: CanonicalMeasure, truncations, t):
+def _far_transform(G: CanonicalMeasure, t):
+    """The transform at t of nu on G's cells outside |u| <= 1, the part of
+    log_cf_lk that enters through fourier_transform (_lk_parts), folded as
+    log_cf_lk folds; 0.0 if those cells carry no mass."""
+    nu = _lk_parts(G)[5]
+    return 0.0 if nu is None else hermitian_fold(lambda ts: fourier_transform(nu, ts), t)
+
+
+def _nested_log_cfs(G: CanonicalMeasure, truncations, t, far=None):
     """TruncationResult.log_cf(t) of each truncation of a law with measure G,
     the truncations at strictly decreasing epsilon.
 
     Such truncations are nested: the nu cells beyond the first G edge at or
     past the previous cutoff (on each side) are the same in both. So
     lambda psi, the transform of nu, is the previous one less the previous
-    truncation's band inside those edges, plus this truncation's band. An
-    atom law (no edges) calls TruncationResult.log_cf.
+    truncation's band inside those edges, plus this truncation's band. When
+    the first epsilon is below 1, the chain starts from the far term of G's
+    log CF, a link at cutoff 1: far (_far_transform at t, computed if not
+    given) less its nu inside the first G edges at or past -1 and 1, plus
+    the first truncation's band there and all of its atoms, since far holds
+    nu's cells but none of G's atoms. An atom law (no edges) calls
+    TruncationResult.log_cf.
     """
     if not G.edges.size:
         return [tr.log_cf(t) for tr in truncations]
 
-    def transform(tr, lo=-np.inf, hi=np.inf):
-        jumps = restrict(tr.jump_distribution, lo, hi)
-        return tr.lambda_eps * hermitian_fold(lambda ts: fourier_transform(jumps, ts), t)
+    def transform(m, lam=1.0):
+        return lam * hermitian_fold(lambda ts: fourier_transform(m, ts), t)
+
+    def edges_past(cutoff):
+        i = np.searchsorted(G.edges, cutoff)
+        j = np.searchsorted(G.edges, -cutoff, side="right") - 1
+        return G.edges[j] if j >= 0 else -np.inf, G.edges[i] if i < G.edges.size else np.inf
 
     out, prev = [], None
     for tr in truncations:
-        if prev is None:
-            lam_psi = transform(tr)
+        jumps = tr.jump_distribution
+        if prev is not None:
+            lo, hi = edges_past(prev.epsilon)
+            lam_psi = (
+                lam_psi
+                - transform(restrict(prev.jump_distribution, lo, hi), prev.lambda_eps)
+                + transform(restrict(jumps, lo, hi), tr.lambda_eps)
+            )
+        elif tr.epsilon < 1.0:
+            lo, hi = edges_past(1.0)
+            nu = _lk_parts(G)[5]
+            band = restrict(jumps, lo, hi)
+            lam_psi = (
+                (_far_transform(G, t) if far is None else far)
+                - (0.0 if nu is None else transform(restrict(nu, lo, hi)))
+                + transform(CanonicalMeasure(jumps.atoms, band.edges, band.values), tr.lambda_eps)
+            )
         else:
-            i = np.searchsorted(G.edges, prev.epsilon)
-            j = np.searchsorted(G.edges, -prev.epsilon, side="right") - 1
-            lo = G.edges[j] if j >= 0 else -np.inf
-            hi = G.edges[i] if i < G.edges.size else np.inf
-            lam_psi = lam_psi - transform(prev, lo, hi) + transform(tr, lo, hi)
+            lam_psi = transform(jumps, tr.lambda_eps)
         out.append(1j * tr.drift * t - 0.5 * tr.gaussian_mass * t * t + (lam_psi - tr.lambda_eps))
         prev = tr
     return out

@@ -41,10 +41,41 @@ def _as_readonly(a):
     return arr
 
 
+def _legval(x, c):
+    """The Legendre series with coefficients c (two or more) at the array x, by
+    numpy.polynomial.legendre.legval's Clenshaw recursion, op for op."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _legendre(order):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    return tuple(_as_readonly(a) for a in np.polynomial.legendre.leggauss(order))
+    """Gauss-Legendre nodes and weights on [-1, 1] (order >= 2), computed once per
+    order by numpy.polynomial.legendre.leggauss's steps op for op, so the bits
+    agree, without importing numpy.polynomial: the eigenvalues of the symmetric
+    companion matrix, one Newton step, the weights, the symmetrisation."""
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    companion = np.zeros((order, order))
+    i = np.arange(order - 1)
+    companion[i, i + 1] = companion[i + 1, i] = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(companion)
+    c = [0.0] * order + [1.0]  # P_order
+    dc = [0.0] * order  # its derivative: 2k + 1 at k = order - 1, order - 3, ...
+    dc[order - 1 :: -2] = range(2 * order - 1, 0, -4)
+    df = _legval(x, dc)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return _as_readonly(x), _as_readonly(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,13 +493,19 @@ def fourier_transform(m: CanonicalMeasure, ts):
     """Integral of exp(i t u) against the measure, at t of any shape.
 
     Atoms contribute exactly; each density cell contributes its closed-form
-    transform mass * e^{it c} * sin(t w/2)/(t w/2) (c the cell centre, w its
-    width, the ratio 1 where t w = 0), exact because cell densities are
-    constant; the sinc is taken once per distinct width. Uniform t grids of
-    16 or more points advance the e^{itc} phases by a per-step recurrence,
-    re-anchored on a direct exponential every ``_PHASE_ANCHOR_EVERY`` steps,
-    with each point's rounding off the exact progression corrected to first
-    order; far-out cells thus keep their phase on long grids.
+    transform mass * e^{itc} * sin(t h)/(t h) (c the cell centre, h its
+    half-width, the ratio 1 where t h = 0), exact because cell densities are
+    constant. Atoms and cells are keyed by (|c|, h), an atom's h being 0, and
+    the terms at c and -c of a key merge: the even weight w+ + w- takes
+    cos(t|c|) and the odd weight w+ - w- takes i sin(t|c|). One _phase_run
+    over the keys' |c| and the cells' h gives e^{it|c|} and, from the same
+    phases, t sinc(t h) = Im(e^{ith})/h (t itself where h = 0), so one
+    4-row product per t gives t times the transform (the mass at t = 0).
+    Uniform t grids of 16 or more points advance the phases by a per-step
+    recurrence, re-anchored on a direct exponential every
+    ``_PHASE_ANCHOR_EVERY`` steps, with each point's rounding off the exact
+    progression corrected to first order; far-out cells thus keep their
+    phase on long grids.
     """
     shape = np.shape(ts)
     tt = np.asarray(ts, dtype=float).ravel()
@@ -479,17 +516,36 @@ def fourier_transform(m: CanonicalMeasure, ts):
     us = np.concatenate([locs, centers])
     hw = np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]])
     ws = np.concatenate([masses, (m.values * widths)[keep]])
-    hw_distinct, which = np.unique(hw, return_inverse=True)
+    # keys sorted by (h, |c|), the atoms' h = 0 first; the terms of a key (one, or
+    # a mirrored pair) sum into its even and odd weights
+    order = np.lexsort((np.abs(us), hw))
+    au, hw, ws, us = np.abs(us)[order], hw[order], ws[order], us[order]
+    new = np.ones(au.size, dtype=bool)
+    new[1:] = (au[1:] != au[:-1]) | (hw[1:] != hw[:-1])
+    starts = np.flatnonzero(new)
+    au, hw = au[starts], hw[starts]
+    even = np.add.reduceat(ws, starts)
+    odd = np.add.reduceat(np.sign(us) * ws, starts)
+    n, n0 = au.size, int(np.searchsorted(hw, 0.0, side="right"))
+    inv_hw = 1.0 / hw[n0:]
+    # rows: the even and odd weights, and both times |c| for the rounding correction
+    rows = np.stack([even, odd, even * au, odd * au])
+    mass = float(np.sum(even))
+    tsinc = np.empty(n)
+    wk = np.empty(n, dtype=complex)
     out = np.empty(tt.shape, dtype=complex)
-    # rows: the weights, and the weights times u for the rounding correction
-    rows = np.stack([ws, ws * us])
-    wk = np.empty_like(rows)
-    for k, (t, phase, off) in enumerate(_phase_run(tt, us)):
-        x = t * hw_distinct
-        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-        np.multiply(rows, sinc[which], out=wk)
-        (re, im), (cre, cim) = wk @ phase.view(float).reshape(-1, 2)
-        out[k] = complex(re - off * cim, im + off * cre)
+    for k, (t, phase, off) in enumerate(_phase_run(tt, np.concatenate([au, hw[n0:]]))):
+        if not t:
+            out[k] = mass
+            continue
+        tsinc[:n0] = t
+        sines = phase[n:]
+        np.multiply(sines.imag, inv_hw, out=tsinc[n0:])
+        if off:
+            tsinc[n0:] += off * sines.real
+        np.multiply(phase[:n], tsinc, out=wk)
+        (re, _), (_, im), (_, cim), (cre, _) = rows @ wk.view(float).reshape(-1, 2)
+        out[k] = complex((re - off * cim) / t, (im + off * cre) / t)
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 

@@ -977,23 +977,38 @@ def test_definetti_cauchy_decreasing() -> None:
     assert errs[2] < 0.05
 
 
+# atoms at 0, -0.6, 0.5 and -2; edges at -1.5, 0.6 and 1.2; a cell across 0
+MIXED_LK = LevyKhintchinePair(
+    gamma=0.7,
+    G=CanonicalMeasure(
+        atoms=((0.0, 0.3), (-0.6, 0.05), (0.5, 0.2), (-2.0, 0.1)),
+        edges=[-3.0, -1.5, -0.8, 0.6, 1.2, 4.0],
+        values=[0.2, 0.0, 0.5, 0.0, 0.3],
+    ),
+)
+
+
 @pytest.mark.parametrize(
     "law, epsilons",
     [
         # 0.5 and 0.25 fall on the uniform grid's edges, 0.1 and 0.02 do not
         (catalog("cauchy", 1.0), [0.5, 0.1, 0.02]),
         (catalog("cauchy", 1.0), [0.75, 0.25, 0.0625, 0.01]),
-        # atoms at 0, -0.6, 0.5 and -2; edges at -1.5, 0.6 and 1.2; a cell across 0
+        (MIXED_LK, [2.0, 1.5, 1.2, 0.8, 0.6, 0.5, 0.3, 0.05]),
+        # the same law from epsilon below 1: the chain starts from the far cells
+        # of its log CF, and the cell [0.6, 1.2] straddles u = 1
+        (MIXED_LK, [0.8, 0.3, 0.05]),
+        # cells with mass across -1 and 1, an atom inside the first band and one beyond
         (
             LevyKhintchinePair(
-                gamma=0.7,
+                gamma=-0.4,
                 G=CanonicalMeasure(
-                    atoms=((0.0, 0.3), (-0.6, 0.05), (0.5, 0.2), (-2.0, 0.1)),
-                    edges=[-3.0, -1.5, -0.8, 0.6, 1.2, 4.0],
-                    values=[0.2, 0.0, 0.5, 0.0, 0.3],
+                    atoms=((0.0, 0.2), (1.1, 0.1), (-3.0, 0.05)),
+                    edges=[-2.5, -0.7, 0.4, 1.3, 3.0],
+                    values=[0.4, 0.6, 0.25, 0.15],
                 ),
             ),
-            [2.0, 1.5, 1.2, 0.8, 0.6, 0.5, 0.3, 0.05],
+            [0.9, 0.5, 0.1],
         ),
     ],
 )
@@ -1005,6 +1020,25 @@ def test_definetti_shares_one_jump_transform(law, epsilons) -> None:
     for tr, got in zip(truncations, canonical._nested_log_cfs(law.G, truncations, t)):
         want = tr.log_cf(t)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(tr.lambda_eps, np.abs(want)))
+
+
+def test_definetti_transforms_the_far_cells_once(monkeypatch) -> None:
+    """Work-count guard: the 23,518 Cauchy cells outside |u| <= 1 go through
+    fourier_transform once per call, for the reference log CF and the first
+    truncation together; every other transform is a band inside them."""
+    far = canonical._lk_parts(catalog("cauchy", 1.0).G)[5]
+    far_cells = int(np.count_nonzero(far.values))
+    assert far_cells == 23518
+    cells = []
+    real_fourier_transform = canonical.fourier_transform
+
+    def recording(m, ts):
+        cells.append(int(np.count_nonzero(m.values * np.diff(m.edges) > 0)))
+        return real_fourier_transform(m, ts)
+
+    monkeypatch.setattr(canonical, "fourier_transform", recording)
+    definetti_sequence(catalog("cauchy", 1.0), [0.5, 0.1, 0.02])
+    assert sorted(cells)[-1] == far_cells and sorted(cells)[-2] < 2000
 
 
 def test_definetti_atom_law_keeps_each_truncations_log_cf() -> None:

@@ -615,6 +615,21 @@ def fourier_transform_per_cell_sinc(m, ts):
     return complex(out[0]) if scalar else out
 
 
+def mirrored_measure() -> CanonicalMeasure:
+    """A grid mirrored about 0 whose two sides carry different values."""
+    right = np.cumsum(np.resize([0.25, 0.5, 1.0, 0.375], 40))
+    edges = np.concatenate([-right[::-1], [0.0], right])
+    values = np.concatenate([np.linspace(0.1, 2.0, 40), np.abs(np.cos(np.arange(40)))])
+    return CanonicalMeasure(edges=edges, values=values)
+
+
+def mirrored_atoms() -> CanonicalMeasure:
+    """Atoms at -u and u with unequal masses, plus an atom at 0."""
+    return CanonicalMeasure.from_atoms(
+        [(-3.0, 0.2), (3.0, 0.7), (-0.5, 0.45), (0.5, 0.05), (0.0, 0.3), (7.25, 0.1)]
+    )
+
+
 @pytest.mark.parametrize(
     "ts",
     [
@@ -627,37 +642,50 @@ def fourier_transform_per_cell_sinc(m, ts):
     ],
 )
 def test_fourier_transform_matches_per_cell_sinc_reference(ts) -> None:
-    m = mixed_measure()
-    got = fourier_transform(m, ts)
-    ref = fourier_transform_per_cell_sinc(m, ts)
-    assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
-    assert np.max(np.abs(got - ref)) < 1e-13
+    for m in (mixed_measure(), mirrored_measure(), mirrored_atoms()):
+        got = fourier_transform(m, ts)
+        ref = fourier_transform_per_cell_sinc(m, ts)
+        assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
+        assert np.max(np.abs(got - ref)) < 1e-13
 
 
-def test_fourier_transform_sinc_once_per_distinct_width(monkeypatch) -> None:
-    """Work-count guard: the sinc's sine sees the distinct widths, not every
-    cell.
+def test_fourier_transform_one_phase_per_mirrored_key(monkeypatch) -> None:
+    """Work-count guard: the terms at u and -u share their phases, and the
+    sinc comes from those phases, not from a sine.
 
-    1,000 cells of three exact (dyadic) widths plus two atoms give four
-    distinct half-widths, so 50 t need at most 50 * 4 sine elements.
+    500 cells per side of four exact (dyadic) widths, mirrored about 0 with
+    different values on each side, plus atoms at -1.5, 0 and 1.5 give 502
+    distinct (|u|, half-width) keys, so _phase_run sees at most 2 * 502
+    values per call, and np.sin is never called.
     """
-    widths = np.resize([0.25, 0.5, 1.0], 1000)
+    right = np.cumsum(np.resize([0.25, 0.5, 1.0, 0.125], 500))
     m = CanonicalMeasure(
-        atoms=((-1.0, 0.5), (3.0, 0.25)),
-        edges=np.concatenate([[0.0], np.cumsum(widths)]),
-        values=np.linspace(0.1, 1.0, 1000),
+        atoms=((-1.5, 0.5), (0.0, 0.1), (1.5, 0.25)),
+        edges=np.concatenate([-right[::-1], [0.0], right]),
+        values=np.concatenate([np.linspace(0.1, 1.0, 500), np.linspace(2.0, 0.5, 500)]),
     )
-    assert np.unique(np.diff(m.edges)).size == 3
     seen = []
-    real_sin = np.sin
+    real_phase_run = measure._phase_run
 
-    def counting_sin(x):
-        seen.append(np.size(x))
-        return real_sin(x)
+    def recording(tt, us):
+        seen.append(np.size(us))
+        return real_phase_run(tt, us)
 
-    monkeypatch.setattr(np, "sin", counting_sin)
+    def no_sin(x):
+        raise AssertionError("np.sin called")
+
+    monkeypatch.setattr(measure, "_phase_run", recording)
+    monkeypatch.setattr(np, "sin", no_sin)
     fourier_transform(m, np.linspace(-5.0, 5.0, 50))
-    assert 0 < sum(seen) <= 50 * 4
+    fourier_transform(m, 1.25)
+    assert len(seen) == 2 and 0 < max(seen) <= 2 * 502
+
+
+@pytest.mark.parametrize("order", [4, 8, 12, 16, 20, 64])
+def test_legendre_is_numpy_leggauss_bit_for_bit(order) -> None:
+    x, w = measure._legendre(order)
+    want_x, want_w = np.polynomial.legendre.leggauss(order)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
 
 
 def test_fourier_transform_uniform_cell_closed_form() -> None:
