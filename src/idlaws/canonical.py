@@ -240,33 +240,28 @@ def _lk_parts(G: CanonicalMeasure):
     """What log_cf_lk needs of G, cached on the (immutable) measure.
 
     (g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order): the
-    u = 0 atom's mass; the other atoms; G on the cells inside |u| <= 1 (cells
-    are cut at -1 and 1) and the widest of them with mass; nu = (1+u^2)/u^2 dG
-    on the cells outside (None if they carry no mass), its mass and its
-    centring term; and a dict, filled by log_cf_lk, of the block's nodes and
-    weights and the inner cells' _cell_tables (or None) per Gauss order.
+    u = 0 atom's mass; the other atoms; G's cells restricted to [-1, 1] (cut
+    there, as truncate_cp cuts at epsilon) and the widest of them with mass;
+    nu = (1+u^2)/u^2 dG on the cells outside (None if they carry no mass),
+    its mass and its centring term; and a dict, filled by log_cf_lk, of the
+    block's nodes and weights and the inner cells' _cell_tables (or None) per
+    Gauss order.
     """
     cached = getattr(G, "_lk_cache", None)
     if cached is not None:
         return cached
     locs, masses = G._atom_arrays()
     off = locs != 0.0
-    inner, width, nu, nu_mass, nu_center = None, 0.0, None, 0.0, 0.0
-    # an atom law's block nodes are its atoms, at the lowest order it gets
-    by_order = {} if G.values.size else {_GAUSS_LADDER[0]: (locs[off], masses[off], None)}
-    if G.values.size:
-        cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1] and c not in G.edges]
-        edges = np.sort(np.concatenate([G.edges, cuts]))
-        values = G.values[np.searchsorted(G.edges, edges[:-1], side="right") - 1]
-        inside = (edges[:-1] >= -1.0) & (edges[1:] <= 1.0)
-        inner = CanonicalMeasure.from_density(edges, np.where(inside, values, 0.0))
-        width = float(np.max(np.diff(edges)[inside & (values > 0)], initial=0.0))
-        outer = np.where(inside, 0.0, values)
-        if np.any(outer > 0):
-            nu, nu_center = jump_intensity(CanonicalMeasure.from_density(edges, outer))
-            nu_mass = total_mass(nu)
+    cells = CanonicalMeasure.from_density(G.edges, G.values)
+    inner = restrict(cells, -1.0, 1.0)
+    width = float(np.max(np.diff(inner.edges)[inner.values > 0], initial=0.0))
+    outer = combine(restrict(cells, hi=-1.0), restrict(cells, lo=1.0))
+    nu, nu_mass, nu_center = None, 0.0, 0.0
+    if np.any(outer.values > 0):
+        nu, nu_center = jump_intensity(outer)
+        nu_mass = total_mass(nu)
     g0 = float(np.sum(masses[~off]))
-    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, by_order)
+    parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, {})
     object.__setattr__(G, "_lk_cache", parts)
     return parts
 
@@ -353,10 +348,17 @@ def _log_cf_at(f, t):
     tt = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
         out = hermitian_fold(f, tt.ravel())
-    if not np.all(np.isfinite(out)):
-        bad = float(tt.ravel()[np.argmin(np.isfinite(out))])
-        raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
+    _require_finite(tt, out)
     return complex(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
+
+
+def _require_finite(t, values):
+    """Raise NonFiniteLogCF naming the first t, in t's order, whose value (of
+    the same size) is not finite."""
+    finite = np.isfinite(values).ravel()
+    if not finite.all():
+        bad = float(np.ravel(t)[np.argmin(finite)])
+        raise NonFiniteLogCF(f"log CF is not finite at t={bad:.6g}")
 
 
 def _log_cf_lk_flat(law: LevyKhintchinePair, ts):
@@ -503,15 +505,13 @@ class TruncationResult:
 
     def log_cf(self, t):
         """Exponent of the approximant CF at t, evaluated as log_cf_lk is (_log_cf_at)."""
-        return _log_cf_at(self._log_cf, t)
+        lam, jumps = self.lambda_eps, self.jump_distribution
+        return _log_cf_at(lambda ts: self._exponent(ts, lam * fourier_transform(jumps, ts)), t)
 
-    def _log_cf(self, t):
-        psi = fourier_transform(self.jump_distribution, t)
-        return (
-            1j * self.drift * t
-            - 0.5 * self.gaussian_mass * t * t
-            + self.lambda_eps * (psi - 1.0)
-        )
+    def _exponent(self, t, lam_psi):
+        """The exponent at t from lambda psi(t), the jump rate times the jump
+        law's transform."""
+        return 1j * self.drift * t - 0.5 * self.gaussian_mass * t * t + (lam_psi - self.lambda_eps)
 
 
 def truncate_cp(law: LevyKhintchinePair, epsilon: float) -> TruncationResult:
@@ -555,11 +555,12 @@ def definetti_sequence(
     """Compound-Poisson approximants at decreasing epsilon, with CF errors.
 
     sup_error compares approximant and exact CF values (not exponents) on
-    t_grid; the exact CF is the law's own log_cf_lk, taken as log_cf_lk of
-    the law less G's cells outside |u| <= 1 plus the transform of their nu
-    (_far_transform), less its mass and centring term. That transform is
-    computed once, and is also the first link of the approximants' chain
-    (_nested_log_cfs).
+    t_grid. The transform of nu on G's cells outside |u| <= 1 (_lk_parts) is
+    computed once and serves both sides: the exact CF is log_cf_lk of the law
+    less those cells plus that transform, less nu's mass and centring term,
+    and each approximant's exponent is taken through the band they share
+    (_band_log_cfs). Raises NonFiniteLogCF, naming the t, if t_grid holds a
+    t that is not finite.
     """
     eps = list(epsilons)
     if any(not 0 < e < np.inf for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -567,77 +568,53 @@ def definetti_sequence(
     if t_grid is None:
         t_grid = symmetric_grid(5.0, 201)
     t_grid = np.asarray(t_grid, dtype=float)
-    _, _, _, inner, _, _, nu_mass, nu_center, _ = _lk_parts(law.G)
-    near = law
-    if inner is not None:
-        near = LevyKhintchinePair(law.gamma, CanonicalMeasure(law.G.atoms, inner.edges, inner.values))
-    far = _far_transform(law.G, t_grid)
+    _require_finite(t_grid, t_grid)
+    _, _, _, inner, _, nu, nu_mass, nu_center, _ = _lk_parts(law.G)
+    near = LevyKhintchinePair(law.gamma, CanonicalMeasure(law.G.atoms, inner.edges, inner.values))
+    far = _transform(nu, t_grid)
     ref_cf = np.exp(log_cf_lk(near, t_grid) + (far - nu_mass - 1j * t_grid * nu_center))
     truncations = [truncate_cp(law, e) for e in eps]
-    out = []
-    for tr, log_phi in zip(truncations, _nested_log_cfs(law.G, truncations, t_grid, far)):
-        err = float(np.max(np.abs(np.exp(log_phi) - ref_cf)))
-        out.append(DeFinettiEntry(truncation=tr, sup_error=err))
-    return out
+    return [
+        DeFinettiEntry(truncation=tr, sup_error=float(np.max(np.abs(np.exp(log_phi) - ref_cf))))
+        for tr, log_phi in zip(truncations, _band_log_cfs(law.G, truncations, t_grid, far))
+    ]
 
 
-def _far_transform(G: CanonicalMeasure, t):
-    """The transform at t of nu on G's cells outside |u| <= 1, the part of
-    log_cf_lk that enters through fourier_transform (_lk_parts), folded as
-    log_cf_lk folds; 0.0 if those cells carry no mass."""
-    nu = _lk_parts(G)[5]
-    return 0.0 if nu is None else hermitian_fold(lambda ts: fourier_transform(nu, ts), t)
+def _transform(m, t):
+    """fourier_transform of the measure m at t, folded as log_cf_lk folds
+    (hermitian_fold); 0.0 for m None."""
+    return 0.0 if m is None else hermitian_fold(lambda ts: fourier_transform(m, ts), t)
 
 
-def _nested_log_cfs(G: CanonicalMeasure, truncations, t, far=None):
+def _band_log_cfs(G: CanonicalMeasure, truncations, t, far=None):
     """TruncationResult.log_cf(t) of each truncation of a law with measure G,
-    the truncations at strictly decreasing epsilon.
+    through one band that all of them share.
 
-    Such truncations are nested: the nu cells beyond the first G edge at or
-    past the previous cutoff (on each side) are the same in both. So
-    lambda psi, the transform of nu, is the previous one less the previous
-    truncation's band inside those edges, plus this truncation's band. When
-    the first epsilon is below 1, the chain starts from the far term of G's
-    log CF, a link at cutoff 1: far (_far_transform at t, computed if not
-    given) less its nu inside the first G edges at or past -1 and 1, plus
-    the first truncation's band there and all of its atoms, since far holds
-    nu's cells but none of G's atoms. An atom law (no edges) calls
-    TruncationResult.log_cf.
+    Let c be the largest of 1 and the epsilons, and lo and hi the first G
+    edges at or past -c and c (-inf and inf where there is none). Outside
+    [lo, hi] neither the cut at epsilon nor log_cf_lk's cut at 1 reaches,
+    so there each truncation's lambda times its jump law is nu, the
+    (1+u^2)/u^2 dG on G's cells outside |u| <= 1 (_lk_parts). Each lambda
+    psi is thus far (the transform of nu at t, computed if not given), less
+    the transform of nu inside [lo, hi], plus lambda times the transform of
+    the truncation's cells inside [lo, hi] and all of its atoms, which far
+    does not hold. An atom law has no edges, so its band is its whole jump
+    law.
     """
-    if not G.edges.size:
-        return [tr.log_cf(t) for tr in truncations]
-
-    def transform(m, lam=1.0):
-        return lam * hermitian_fold(lambda ts: fourier_transform(m, ts), t)
-
-    def edges_past(cutoff):
-        i = np.searchsorted(G.edges, cutoff)
-        j = np.searchsorted(G.edges, -cutoff, side="right") - 1
-        return G.edges[j] if j >= 0 else -np.inf, G.edges[i] if i < G.edges.size else np.inf
-
-    out, prev = [], None
+    nu = _lk_parts(G)[5]
+    c = max([1.0, *(tr.epsilon for tr in truncations)])
+    i = np.searchsorted(G.edges, c)
+    j = np.searchsorted(G.edges, -c, side="right") - 1
+    lo = G.edges[j] if j >= 0 else -np.inf
+    hi = G.edges[i] if i < G.edges.size else np.inf
+    ring = None if nu is None else restrict(nu, lo, hi)
+    shared = (_transform(nu, t) if far is None else far) - _transform(ring, t)
+    out = []
     for tr in truncations:
         jumps = tr.jump_distribution
-        if prev is not None:
-            lo, hi = edges_past(prev.epsilon)
-            lam_psi = (
-                lam_psi
-                - transform(restrict(prev.jump_distribution, lo, hi), prev.lambda_eps)
-                + transform(restrict(jumps, lo, hi), tr.lambda_eps)
-            )
-        elif tr.epsilon < 1.0:
-            lo, hi = edges_past(1.0)
-            nu = _lk_parts(G)[5]
-            band = restrict(jumps, lo, hi)
-            lam_psi = (
-                (_far_transform(G, t) if far is None else far)
-                - (0.0 if nu is None else transform(restrict(nu, lo, hi)))
-                + transform(CanonicalMeasure(jumps.atoms, band.edges, band.values), tr.lambda_eps)
-            )
-        else:
-            lam_psi = transform(jumps, tr.lambda_eps)
-        out.append(1j * tr.drift * t - 0.5 * tr.gaussian_mass * t * t + (lam_psi - tr.lambda_eps))
-        prev = tr
+        band = restrict(jumps, lo, hi)
+        band = CanonicalMeasure(jumps.atoms, band.edges, band.values)
+        out.append(tr._exponent(t, shared + tr.lambda_eps * _transform(band, t)))
     return out
 
 

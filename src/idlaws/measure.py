@@ -505,13 +505,15 @@ def fourier_transform(m: CanonicalMeasure, ts):
     recurrence, re-anchored on a direct exponential every
     ``_PHASE_ANCHOR_EVERY`` steps, with each point's rounding off the exact
     progression corrected to first order; far-out cells thus keep their
-    phase on long grids.
+    phase on long grids. A measure with no mass transforms to zeros at once.
     """
     shape = np.shape(ts)
     tt = np.asarray(ts, dtype=float).ravel()
     locs, masses = m._atom_arrays()
     widths = np.diff(m.edges)
     keep = m.values * widths > 0
+    if not (locs.size or keep.any()):
+        return 0j if shape == () else np.zeros(shape, dtype=complex)
     centers = (0.5 * (m.edges[:-1] + m.edges[1:]))[keep]
     us = np.concatenate([locs, centers])
     hw = np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]])

@@ -463,10 +463,18 @@ def test_jump_intensity_on_random_mixed_measures(G) -> None:
     assert_nu_matches_quadrature(G)
 
 
-def _lk_edges_union1d(G):
-    """The inner grid's edges as np.union1d built them, kept as the reference."""
+def _assert_inner_matches_union1d(G):
+    """_lk_parts' inner cells against the reference: G's edges and the cuts at
+    -1 and 1 as np.union1d joins them, clipped to [-1, 1], each cell holding
+    G's value there."""
     cuts = [c for c in (-1.0, 1.0) if G.edges[0] < c < G.edges[-1]]
-    return np.union1d(G.edges, cuts)
+    edges = np.union1d(G.edges, cuts)
+    edges = edges[(edges >= -1.0) & (edges <= 1.0)]
+    values = G.values[np.searchsorted(G.edges, edges[:-1], side="right") - 1]
+    inner = canonical._lk_parts(G)[3]
+    assert np.array_equal(inner.edges, edges)
+    assert np.array_equal(np.signbit(inner.edges), np.signbit(edges))
+    assert np.array_equal(inner.values, values)
 
 
 @pytest.mark.parametrize(
@@ -480,21 +488,18 @@ def _lk_edges_union1d(G):
     ],
 )
 def test_lk_parts_edges_match_union1d(edges) -> None:
-    G = CanonicalMeasure.from_density(edges, np.ones(len(edges) - 1))
-    inner = canonical._lk_parts(G)[3]
-    assert np.array_equal(inner.edges, _lk_edges_union1d(G))
-    assert np.array_equal(np.signbit(inner.edges), np.signbit(_lk_edges_union1d(G)))
+    G = CanonicalMeasure.from_density(edges, np.arange(1.0, len(edges)))
+    _assert_inner_matches_union1d(G)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(jump_measures())
 def test_lk_parts_edges_match_union1d_on_random_measures(G) -> None:
-    assert np.array_equal(canonical._lk_parts(G)[3].edges, _lk_edges_union1d(G))
+    _assert_inner_matches_union1d(G)
 
 
 def test_lk_parts_edges_match_union1d_on_cauchy() -> None:
-    G = catalog("cauchy", 1.0).G
-    assert np.array_equal(canonical._lk_parts(G)[3].edges, _lk_edges_union1d(G))
+    _assert_inner_matches_union1d(catalog("cauchy", 1.0).G)
 
 
 def test_jump_intensity_closed_form_cell() -> None:

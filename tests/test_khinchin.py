@@ -994,9 +994,11 @@ MIXED_LK = LevyKhintchinePair(
         # 0.5 and 0.25 fall on the uniform grid's edges, 0.1 and 0.02 do not
         (catalog("cauchy", 1.0), [0.5, 0.1, 0.02]),
         (catalog("cauchy", 1.0), [0.75, 0.25, 0.0625, 0.01]),
+        # the first epsilon beyond 1: the shared band runs to the Cauchy edges past 2
+        (catalog("cauchy", 1.0), [2.0, 0.5, 0.02]),
         (MIXED_LK, [2.0, 1.5, 1.2, 0.8, 0.6, 0.5, 0.3, 0.05]),
-        # the same law from epsilon below 1: the chain starts from the far cells
-        # of its log CF, and the cell [0.6, 1.2] straddles u = 1
+        # the same law from epsilon below 1: the band runs to the edges past 1,
+        # and the cell [0.6, 1.2] straddles u = 1
         (MIXED_LK, [0.8, 0.3, 0.05]),
         # cells with mass across -1 and 1, an atom inside the first band and one beyond
         (
@@ -1013,19 +1015,20 @@ MIXED_LK = LevyKhintchinePair(
     ],
 )
 def test_definetti_shares_one_jump_transform(law, epsilons) -> None:
-    """The nested truncations' log CFs agree with each truncation's own
-    log_cf within 1e-13 max(lambda, |log phi|)."""
+    """The truncations' log CFs through the shared band agree with each
+    truncation's own log_cf within 1e-13 max(lambda, |log phi|)."""
     t = symmetric_grid(5.0, 201)
     truncations = [truncate_cp(law, e) for e in epsilons]
-    for tr, got in zip(truncations, canonical._nested_log_cfs(law.G, truncations, t)):
+    for tr, got in zip(truncations, canonical._band_log_cfs(law.G, truncations, t)):
         want = tr.log_cf(t)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(tr.lambda_eps, np.abs(want)))
 
 
 def test_definetti_transforms_the_far_cells_once(monkeypatch) -> None:
-    """Work-count guard: the 23,518 Cauchy cells outside |u| <= 1 go through
-    fourier_transform once per call, for the reference log CF and the first
-    truncation together; every other transform is a band inside them."""
+    """Work-count guard: of the transforms on the Cauchy law at [0.5, 0.1,
+    0.02], one holds the 23,518 cells of nu outside |u| <= 1, shared by the
+    reference log CF and every truncation, and one band per truncation
+    holds cells inside [-1, 1]; nu inside [-1, 1] has no mass."""
     far = canonical._lk_parts(catalog("cauchy", 1.0).G)[5]
     far_cells = int(np.count_nonzero(far.values))
     assert far_cells == 23518
@@ -1033,12 +1036,17 @@ def test_definetti_transforms_the_far_cells_once(monkeypatch) -> None:
     real_fourier_transform = canonical.fourier_transform
 
     def recording(m, ts):
-        cells.append(int(np.count_nonzero(m.values * np.diff(m.edges) > 0)))
+        live = m.values * np.diff(m.edges) > 0
+        cells.append((int(np.count_nonzero(live)), m.edges[:-1][live], m.edges[1:][live]))
         return real_fourier_transform(m, ts)
 
     monkeypatch.setattr(canonical, "fourier_transform", recording)
     definetti_sequence(catalog("cauchy", 1.0), [0.5, 0.1, 0.02])
-    assert sorted(cells)[-1] == far_cells and sorted(cells)[-2] < 2000
+    with_mass = sorted((c for c in cells if c[0]), key=lambda c: c[0])
+    assert len(with_mass) == 4
+    assert with_mass[-1][0] == far_cells
+    for _, lefts, rights in with_mass[:-1]:
+        assert lefts.min() >= -1.0 and rights.max() <= 1.0
 
 
 def test_definetti_atom_law_keeps_each_truncations_log_cf() -> None:
@@ -1057,6 +1065,30 @@ def test_definetti_epsilons_validated() -> None:
         definetti_sequence(law, [0.1, 0.5])
     with pytest.raises(ValueError):
         definetti_sequence(law, [0.5, 0.0])
+
+
+def test_definetti_without_epsilons_is_empty() -> None:
+    assert definetti_sequence(catalog("cauchy", 1.0), []) == []
+
+
+def test_definetti_rejects_a_non_finite_t_before_any_transform(monkeypatch) -> None:
+    def refusing(m, ts):
+        raise AssertionError("a transform ran before the t check")
+
+    monkeypatch.setattr(canonical, "fourier_transform", refusing)
+    for t_grid, bad in (([1.0, np.inf], "inf"), ([0.0, np.nan], "nan"), ([-np.inf, 2.0], "-inf")):
+        with pytest.raises(NonFiniteLogCF, match=f"t={bad}$"):
+            definetti_sequence(catalog("cauchy", 1.0), [0.5], t_grid=t_grid)
+
+
+def test_definetti_cell_law_with_empty_first_truncations() -> None:
+    """The truncations at 2.0 and 0.5 have lambda = 0 (every cell lies in
+    |u| <= 0.3); their errors are the parent's to 1e-13."""
+    G = CanonicalMeasure(atoms=((0.0, 0.3),), edges=[-0.3, 0.0, 0.3], values=[1.0, 2.0])
+    entries = definetti_sequence(LevyKhintchinePair(gamma=0.1, G=G), [2.0, 0.5, 0.2])
+    assert [e.truncation.lambda_eps for e in entries[:2]] == [0.0, 0.0]
+    want = [0.4773530114594728, 0.4773530114594728, 0.23844197298124234]
+    assert np.allclose([e.sup_error for e in entries], want, rtol=0.0, atol=1e-13)
 
 
 def test_median_matches_numpy() -> None:

@@ -688,6 +688,18 @@ def test_legendre_is_numpy_leggauss_bit_for_bit(order) -> None:
     assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
 
 
+def test_fourier_transform_of_no_mass_is_zero_at_once(monkeypatch) -> None:
+    def refusing(tt, us):
+        raise AssertionError("a measure with no mass ran the phase loop")
+
+    monkeypatch.setattr(measure, "_phase_run", refusing)
+    ts = measure.symmetric_grid(5.0, 201)
+    for m in (CanonicalMeasure(), CanonicalMeasure.from_density([-1.0, 2.0], [0.0])):
+        got = fourier_transform(m, ts)
+        assert got.shape == ts.shape and got.dtype == complex and not np.any(got)
+        assert fourier_transform(m, 1.5) == 0.0
+
+
 def test_fourier_transform_uniform_cell_closed_form() -> None:
     # density 1 on [0,1]: transform is (e^{it}-1)/(it)
     m = unit_density()
