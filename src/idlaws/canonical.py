@@ -236,30 +236,36 @@ def inner_gauss_order(width: float, t):
     return order
 
 
+def _split(G: CanonicalMeasure, lo: float, hi: float):
+    """(cells, nu, nu_mass, nu_center): G's cells cut to [lo, hi], as
+    truncate_cp cuts at epsilon, and nu = (1+u^2)/u^2 dG on the cells outside
+    (None if they carry no mass) with its mass and centring term."""
+    cells = CanonicalMeasure.from_density(G.edges, G.values)
+    inner = restrict(cells, lo, hi)
+    outer = combine(restrict(cells, hi=lo), restrict(cells, lo=hi))
+    if not np.any(outer.values > 0):
+        return inner, None, 0.0, 0.0
+    nu, nu_center = jump_intensity(outer)
+    return inner, nu, total_mass(nu), nu_center
+
+
 def _lk_parts(G: CanonicalMeasure):
     """What log_cf_lk needs of G, cached on the (immutable) measure.
 
     (g0, locs, masses, inner, width, nu, nu_mass, nu_center, by_order): the
-    u = 0 atom's mass; the other atoms; G's cells restricted to [-1, 1] (cut
-    there, as truncate_cp cuts at epsilon) and the widest of them with mass;
-    nu = (1+u^2)/u^2 dG on the cells outside (None if they carry no mass),
-    its mass and its centring term; and a dict, filled by log_cf_lk, of the
-    block's nodes and weights and the inner cells' _cell_tables (or None) per
-    Gauss order.
+    u = 0 atom's mass; the other atoms; G's cells cut to [-1, 1] and the
+    widest of them with mass; nu on the cells outside, its mass and its
+    centring term (_split); and a dict, filled by log_cf_lk, of the block's
+    nodes and weights and the inner cells' _cell_tables (or None) per Gauss
+    order.
     """
     cached = getattr(G, "_lk_cache", None)
     if cached is not None:
         return cached
     locs, masses = G._atom_arrays()
     off = locs != 0.0
-    cells = CanonicalMeasure.from_density(G.edges, G.values)
-    inner = restrict(cells, -1.0, 1.0)
+    inner, nu, nu_mass, nu_center = _split(G, -1.0, 1.0)
     width = float(np.max(np.diff(inner.edges)[inner.values > 0], initial=0.0))
-    outer = combine(restrict(cells, hi=-1.0), restrict(cells, lo=1.0))
-    nu, nu_mass, nu_center = None, 0.0, 0.0
-    if np.any(outer.values > 0):
-        nu, nu_center = jump_intensity(outer)
-        nu_mass = total_mass(nu)
     g0 = float(np.sum(masses[~off]))
     parts = (g0, locs[off], masses[off], inner, width, nu, nu_mass, nu_center, {})
     object.__setattr__(G, "_lk_cache", parts)
@@ -555,12 +561,10 @@ def definetti_sequence(
     """Compound-Poisson approximants at decreasing epsilon, with CF errors.
 
     sup_error compares approximant and exact CF values (not exponents) on
-    t_grid. The transform of nu on G's cells outside |u| <= 1 (_lk_parts) is
-    computed once and serves both sides: the exact CF is log_cf_lk of the law
-    less those cells plus that transform, less nu's mass and centring term,
-    and each approximant's exponent is taken through the band they share
-    (_band_log_cfs). Raises NonFiniteLogCF, naming the t, if t_grid holds a
-    t that is not finite.
+    t_grid. Both sides come from _band_log_cfs, which cuts G once at the band
+    the truncations share and transforms nu beyond it once for all of them.
+    Raises NonFiniteLogCF, naming the t, if t_grid holds a t that is not
+    finite.
     """
     eps = list(epsilons)
     if any(not 0 < e < np.inf for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -569,14 +573,12 @@ def definetti_sequence(
         t_grid = symmetric_grid(5.0, 201)
     t_grid = np.asarray(t_grid, dtype=float)
     _require_finite(t_grid, t_grid)
-    _, _, _, inner, _, nu, nu_mass, nu_center, _ = _lk_parts(law.G)
-    near = LevyKhintchinePair(law.gamma, CanonicalMeasure(law.G.atoms, inner.edges, inner.values))
-    far = _transform(nu, t_grid)
-    ref_cf = np.exp(log_cf_lk(near, t_grid) + (far - nu_mass - 1j * t_grid * nu_center))
     truncations = [truncate_cp(law, e) for e in eps]
+    ref, log_phis = _band_log_cfs(law, truncations, t_grid)
+    ref_cf = np.exp(ref)
     return [
         DeFinettiEntry(truncation=tr, sup_error=float(np.max(np.abs(np.exp(log_phi) - ref_cf))))
-        for tr, log_phi in zip(truncations, _band_log_cfs(law.G, truncations, t_grid, far))
+        for tr, log_phi in zip(truncations, log_phis)
     ]
 
 
@@ -586,36 +588,38 @@ def _transform(m, t):
     return 0.0 if m is None else hermitian_fold(lambda ts: fourier_transform(m, ts), t)
 
 
-def _band_log_cfs(G: CanonicalMeasure, truncations, t, far=None):
-    """TruncationResult.log_cf(t) of each truncation of a law with measure G,
+def _band_log_cfs(law: LevyKhintchinePair, truncations, t):
+    """(log_cf_lk(law, t), [TruncationResult.log_cf(t) of each truncation]),
     through one band that all of them share.
 
     Let c be the largest of 1 and the epsilons, and lo and hi the first G
     edges at or past -c and c (-inf and inf where there is none). Outside
-    [lo, hi] neither the cut at epsilon nor log_cf_lk's cut at 1 reaches,
-    so there each truncation's lambda times its jump law is nu, the
-    (1+u^2)/u^2 dG on G's cells outside |u| <= 1 (_lk_parts). Each lambda
-    psi is thus far (the transform of nu at t, computed if not given), less
-    the transform of nu inside [lo, hi], plus lambda times the transform of
-    the truncation's cells inside [lo, hi] and all of its atoms, which far
-    does not hold. An atom law has no edges, so its band is its whole jump
-    law.
+    [lo, hi] neither the cut at epsilon nor log_cf_lk's cut at 1 reaches, so
+    there each truncation's lambda times its jump law is nu, the
+    (1+u^2)/u^2 dG on G's cells outside [lo, hi] (_split), whose transform
+    far is taken once. The law's exponent is log_cf_lk of its atoms and its
+    cells inside [lo, hi], plus far less nu's mass and centring term. Each
+    truncation's lambda psi is far plus lambda times the transform of its
+    cells inside [lo, hi] and all of its atoms. An atom law has no edges, so
+    its band is the whole law.
     """
-    nu = _lk_parts(G)[5]
+    G = law.G
     c = max([1.0, *(tr.epsilon for tr in truncations)])
     i = np.searchsorted(G.edges, c)
     j = np.searchsorted(G.edges, -c, side="right") - 1
     lo = G.edges[j] if j >= 0 else -np.inf
     hi = G.edges[i] if i < G.edges.size else np.inf
-    ring = None if nu is None else restrict(nu, lo, hi)
-    shared = (_transform(nu, t) if far is None else far) - _transform(ring, t)
+    cells, nu, nu_mass, nu_center = _split(G, lo, hi)
+    far = _transform(nu, t)
+    near = LevyKhintchinePair(law.gamma, CanonicalMeasure(G.atoms, cells.edges, cells.values))
+    ref = log_cf_lk(near, t) + (far - nu_mass - 1j * t * nu_center)
     out = []
     for tr in truncations:
         jumps = tr.jump_distribution
         band = restrict(jumps, lo, hi)
         band = CanonicalMeasure(jumps.atoms, band.edges, band.values)
-        out.append(tr._exponent(t, shared + tr.lambda_eps * _transform(band, t)))
-    return out
+        out.append(tr._exponent(t, far + tr.lambda_eps * _transform(band, t)))
+    return ref, out
 
 
 # Cauchy density grid layout, per side: uniform cells on [0,1]; a geometric

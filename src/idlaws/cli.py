@@ -251,7 +251,7 @@ def _run_simulate(args) -> int:
     values = sample_paths(spec, times, range(args.paths))
     texts = [(_out_path(args, "paths.csv"), paths_to_csv(times, values))]
     if args.cf_out:
-        t_grid = np.linspace(-args.cf_t_max, args.cf_t_max, args.cf_points)
+        t_grid = symmetric_grid(args.cf_t_max, args.cf_points)
         texts.append((args.cf_out, empirical_cf_to_csv(empirical_cf(values[:, -1], t_grid))))
     for path, text in texts:  # written once all are made, so a failure writes none
         _write_text(path, text)

@@ -16,7 +16,9 @@ Kernel note: the transform pair used throughout is
 with the weight's removable value 1/6 at u = 0. The (1+u^2)/u^2 factor is
 forced by the canonical integrand (a pure Gaussian G = atom(0,1) gives
 Delta = -1/3, which the unweighted kernel cannot produce); see the Gaussian
-test oracle.
+test oracle. Since Im r(v) = (sin v - v)/v^2 for the canonical integrand's
+remainder r(v) = (e^{iv} - 1 - iv)/v^2 (canonical.exp_remainder2), the
+weight is w(v) = -Im r(v) (1+v^2)/v.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import LevyKhintchinePair, log_cf_lk
+from .canonical import LevyKhintchinePair, exp_remainder2, log_cf_lk
 from .divisibility import CharacteristicFunctionGrid, _check_conjugate_symmetric, build_cf_grid
 from .measure import (
     CanonicalMeasure, _even_step, _legendre, cdf, integrate, mass_between, restrict, reweight,
@@ -57,34 +59,13 @@ class NoConvergence(ValueError):
 
 # -- kernels ---------------------------------------------------------------------
 
-# (1 - sin v / v) / v^2 power series: sum_{m>=1} (-1)^{m+1} v^{2m-2}/(2m+1)!
-_SINC_DEFICIT_COEFFS = [
-    (-1.0) ** (m + 1) / math.factorial(2 * m + 1) for m in range(1, 10)
-]
-
-
-def sinc_deficit(v):
-    """(1 - sin v / v) / v^2, with the removable value 1/6 at v = 0."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty(v.shape)
-    small = np.abs(v) < 0.5
-    if np.any(small):
-        vs = v[small] ** 2
-        acc = np.zeros(vs.shape)
-        for c in reversed(_SINC_DEFICIT_COEFFS):
-            acc = acc * vs + c
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        vb = v[big]
-        out[big] = (1.0 - np.sin(vb) / vb) / (vb * vb)
-    return out
-
-
 def delta_kernel_weight(v):
-    """The inversion kernel weight (1 - sin v/v)(1+v^2)/v^2; value 1/6 at 0."""
+    """The inversion kernel weight (1 - sin v/v)(1+v^2)/v^2, as
+    -Im exp_remainder2(v) (1+v^2)/v; value 1/6 at 0."""
     v = np.asarray(v, dtype=float)
-    return sinc_deficit(v) * (1.0 + v * v)
+    with np.errstate(invalid="ignore"):
+        w = -exp_remainder2(v).imag / v * (1.0 + v * v)
+    return np.where(v == 0.0, 1.0 / 6.0, w)
 
 
 # -- G_h families -----------------------------------------------------------------

@@ -201,6 +201,22 @@ def test_simulate_emits_empirical_cf(tmp_path, capsys) -> None:
     assert mid[0] == 0.0 and mid[1] == 1.0 and mid[2] == 0.0
 
 
+@pytest.mark.parametrize("points", ["101", "100"])
+def test_simulate_cf_t_is_an_exact_mirror(tmp_path, capsys, points) -> None:
+    """The CF CSV's t column comes from symmetric_grid: t == -t[::-1] bit for
+    bit (np.linspace(-5, 5, 101) is off the mirror by up to 8.9e-16)."""
+    cf_out = tmp_path / "cf.csv"
+    code, _, _ = run(
+        ["simulate", "--catalog", "poisson:1,1", "--steps", "2", "--paths", "5",
+         "--out", str(tmp_path / "p.csv"), "--cf-out", str(cf_out), "--cf-points", points],
+        capsys,
+    )
+    assert code == 0
+    t = read_csv(cf_out)[1][:, 0]
+    assert t.size == int(points)
+    assert np.array_equal(t, -t[::-1])
+
+
 def test_drift_only_simulation_exact(tmp_path, capsys) -> None:
     out = tmp_path / "p.csv"
     code, _, _ = run(

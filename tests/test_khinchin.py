@@ -50,7 +50,6 @@ from idlaws.khinchin import (
     k_from_delta,
     poisson_gh_family,
     poisson_root_distribution,
-    sinc_deficit,
     tail_bounds,
 )
 from idlaws.measure import (
@@ -111,20 +110,40 @@ def gaussian_inversion():
 # -- kernel weights ---------------------------------------------------------------
 
 
-def test_sinc_deficit_at_zero() -> None:
-    assert abs(sinc_deficit(0.0) - 1.0 / 6.0) < 1e-15
+def test_kernel_weight_at_zero() -> None:
+    assert abs(delta_kernel_weight(0.0) - 1.0 / 6.0) < 1e-15
 
 
-def test_sinc_deficit_series_matches_direct() -> None:
-    # straddle the series/direct switch; direct form is fine at these v
+def test_kernel_weight_series_matches_direct() -> None:
+    # straddle exp_remainder2's series/direct switch; direct form is fine at these v
     v = np.array([0.3, 0.49999, 0.50001, 1.0])
-    direct = (1.0 - np.sin(v) / v) / (v * v)
-    assert np.max(np.abs(sinc_deficit(v) - direct)) < 1e-14
+    direct = (1.0 - np.sin(v) / v) / (v * v) * (1.0 + v * v)
+    assert np.max(np.abs(delta_kernel_weight(v) - direct)) < 1e-14
 
 
-def test_sinc_deficit_even() -> None:
+def test_kernel_weight_even() -> None:
     v = np.array([0.1, 0.5, 1.7, 4.0])
-    assert np.array_equal(sinc_deficit(v), sinc_deficit(-v))
+    assert np.array_equal(delta_kernel_weight(v), delta_kernel_weight(-v))
+
+
+def test_kernel_weight_matches_long_double() -> None:
+    """(1 - sin v/v)(1+v^2)/v^2 on 12,000 v in [-40, 40] within 4e-15
+    relative of a long-double evaluation: (v - sin v)/v^3 by its series
+    for |v| < 1, directly beyond."""
+    v = np.linspace(-40.0, 40.0, 12000)
+    x = v.astype(np.longdouble)
+    small = np.abs(x) < 1
+    y = x[small] ** 2
+    series = np.zeros_like(y)
+    for m in range(12, 0, -1):
+        series = series * y + np.longdouble((-1) ** (m + 1)) / math.factorial(2 * m + 1)
+    deficit = np.empty_like(x)
+    deficit[small] = series
+    xb = x[~small]
+    deficit[~small] = (xb - np.sin(xb)) / (xb * xb * xb)
+    want = deficit * (1 + x * x)
+    got = delta_kernel_weight(v)
+    assert np.max(np.abs((got - want) / want)) < 4e-15
 
 
 def test_kernel_weight_values() -> None:
@@ -1016,10 +1035,14 @@ MIXED_LK = LevyKhintchinePair(
 )
 def test_definetti_shares_one_jump_transform(law, epsilons) -> None:
     """The truncations' log CFs through the shared band agree with each
-    truncation's own log_cf within 1e-13 max(lambda, |log phi|)."""
+    truncation's own log_cf within 1e-13 max(lambda, |log phi|), and the
+    law's with log_cf_lk within 1e-13 max(1, |log phi|)."""
     t = symmetric_grid(5.0, 201)
     truncations = [truncate_cp(law, e) for e in epsilons]
-    for tr, got in zip(truncations, canonical._band_log_cfs(law.G, truncations, t)):
+    ref, log_phis = canonical._band_log_cfs(law, truncations, t)
+    want = log_cf_lk(law, t)
+    assert np.all(np.abs(ref - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    for tr, got in zip(truncations, log_phis):
         want = tr.log_cf(t)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(tr.lambda_eps, np.abs(want)))
 
@@ -1047,6 +1070,35 @@ def test_definetti_transforms_the_far_cells_once(monkeypatch) -> None:
     assert with_mass[-1][0] == far_cells
     for _, lefts, rights in with_mass[:-1]:
         assert lefts.min() >= -1.0 and rights.max() <= 1.0
+
+
+def test_definetti_transforms_nu_in_the_band_once(monkeypatch) -> None:
+    """Work-count guard: with the first epsilon beyond 1, the band runs past
+    the cut at 1, and nu inside it is transformed once, by log_cf_lk of the
+    law inside the band. On the Cauchy law at [2.0, 0.5, 0.02] that makes
+    30,516 cells with mass in all (a second transform of nu's 1,982 band
+    cells would make 32,498); nu of the mixed law, whose band is its whole
+    grid, goes through one call."""
+    seen = []
+    real_fourier_transform = canonical.fourier_transform
+
+    def recording(m, ts):
+        seen.append(m)
+        return real_fourier_transform(m, ts)
+
+    def live_cells(m):
+        live = m.values * np.diff(m.edges) > 0
+        return m.edges[:-1][live], m.edges[1:][live], m.values[live]
+
+    monkeypatch.setattr(canonical, "fourier_transform", recording)
+    definetti_sequence(catalog("cauchy", 1.0), [2.0, 0.5, 0.02])
+    assert sum(live_cells(m)[0].size for m in seen) == 30516
+    nu = canonical._lk_parts(MIXED_LK.G)[5]
+    seen.clear()
+    definetti_sequence(MIXED_LK, [2.0, 0.5, 0.05])
+    same = [all(map(np.array_equal, live_cells(m), live_cells(nu))) for m in seen]
+    assert sum(same) == 1
+    assert sum(live_cells(m)[0].size for m in seen) == 12
 
 
 def test_definetti_atom_law_keeps_each_truncations_log_cf() -> None:
