@@ -114,16 +114,34 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(path)
+def _write_blocks(artifacts) -> None:
+    """Write each (path, text blocks) of artifacts, as they come, to a temporary
+    file beside its path; rename them into place once every one is complete,
+    printing each path.
+
+    The temporary files left on any failure are removed, so a failure before
+    the renames writes no artifact.
+    """
+    temps = []
+    try:
+        for path, blocks in artifacts:
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps.append((temp, path))
+                fh.writelines(blocks)
+        while temps:
+            os.replace(*temps[0])
+            print(temps.pop(0)[1])
+    finally:
+        for temp, _ in temps:
+            os.remove(temp)
 
 
 def _write_json(path: str, payload: dict, config: dict) -> None:
     doc = {"version": __version__, "config": config}
     doc.update(payload)
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_blocks([(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])])
 
 
 def _law_config(args) -> dict:
@@ -142,7 +160,7 @@ def _run_eval(args) -> int:
     cf = build_log_cf_grid(
         lambda t: log_cf_lk(law, t), t_max=args.t_max, points=args.points
     )
-    _write_text(_out_path(args, "eval.csv"), grid_to_csv(cf))
+    _write_blocks([(_out_path(args, "eval.csv"), [grid_to_csv(cf)])])
     return 0
 
 
@@ -234,9 +252,9 @@ def _run_approx_cp(args) -> int:
 def _run_simulate(args) -> int:
     from .simulate import (
         ProcessSpec,
+        _paths_csv_blocks,
         empirical_cf,
         empirical_cf_to_csv,
-        paths_to_csv,
         sample_paths,
     )
 
@@ -249,12 +267,14 @@ def _run_simulate(args) -> int:
         raise BadOption(f"the expected jump count {jumps:.4g} is above the limit {MAX_SIZE}")
     times = np.linspace(0.0, args.horizon, args.steps + 1)
     values = sample_paths(spec, times, range(args.paths))
-    texts = [(_out_path(args, "paths.csv"), paths_to_csv(times, values))]
-    if args.cf_out:
-        t_grid = symmetric_grid(args.cf_t_max, args.cf_points)
-        texts.append((args.cf_out, empirical_cf_to_csv(empirical_cf(values[:, -1], t_grid))))
-    for path, text in texts:  # written once all are made, so a failure writes none
-        _write_text(path, text)
+
+    def artifacts():  # the CF is made once the paths are written
+        yield _out_path(args, "paths.csv"), _paths_csv_blocks(times, values)
+        if args.cf_out:
+            t_grid = symmetric_grid(args.cf_t_max, args.cf_points)
+            yield args.cf_out, [empirical_cf_to_csv(empirical_cf(values[:, -1], t_grid))]
+
+    _write_blocks(artifacts())
     return 0
 
 

@@ -10,12 +10,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .canonical import LevyKhintchinePair, TruncationResult, log_cf_lk, scale_law, truncate_cp
-from .measure import _csv_text, quantile
+from .measure import _CSV_BLOCK, _csv_text, quantile
 
 
 class BadTimes(ValueError):
@@ -27,9 +28,9 @@ _INTERVALS_PER_PATH = 1 << 20
 # (t x sample) elements empirical_cf exponentiates at a time (one row of t if
 # the samples alone are more); 1 MB of complex, which stays in cache
 _CF_BLOCK = 1 << 16
-# (path, interval) pairs whose first Philox block sample_paths computes at a
-# time, which keeps its uint64 temporaries to a few MB
-_SAMPLE_BLOCK = 1 << 16
+# (path, interval) pairs sample_paths settles at a time, which keeps the
+# uint64 temporaries of their first Philox blocks near 1 MB
+_SAMPLE_BLOCK = 1 << 13
 # Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -148,13 +149,13 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
     row r of the (len(path_indices), len(times)) array is the path of path_indices[r].
 
     Each (path, interval) draws what its stream_for stream would, in
-    sample_increments' order. For lam = lambda_eps * gap < 10 and no Gaussian
-    part, numpy's Poisson counts running products of uniforms above e^-lam,
-    so the stream's first block of four words settles a count of 0 or 1 and
-    its jump uniform; that block is computed for all such intervals at once,
-    _SAMPLE_BLOCK at a time. Every other interval resets one bit generator's
-    counter and draws. One quantile call maps all jump uniforms, summed per
-    interval in draw order.
+    sample_increments' order. Intervals are settled _SAMPLE_BLOCK at a time.
+    For lam = lambda_eps * gap < 10 and no Gaussian part, numpy's Poisson
+    counts running products of uniforms above e^-lam, so the stream's first
+    block of four words settles a count of 0 or 1 and its jump uniform; that
+    block is computed for all such intervals of a block at once. Every other
+    interval resets one bit generator's counter and draws. One quantile call
+    per block maps its jump uniforms, summed per interval in draw order.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
@@ -173,7 +174,10 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
     state["buffer_pos"], state["has_uint32"] = 4, 0
     key = [int(w) for w in state["state"]["key"]]
     m = gaps.size
-    inc = np.tile(dec.drift * gaps, len(paths))
+    # the increments, cumulated into the paths in place at the end
+    out = np.zeros((len(paths), m + 1))
+    out[:, 1:] = dec.drift * gaps
+    flat = out.reshape(-1)
     sds = np.sqrt(dec.gaussian_mass * gaps).tolist() if dec.gaussian_mass > 0 else None
     lam = dec.lambda_eps * gaps
     lams = lam.tolist()
@@ -181,43 +185,43 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
     quick = drawn & (lam < 10.0) & (sds is None)  # what a first block may settle
     # e^-lam from libm, as numpy's C code takes it; np.exp may differ by an ulp
     e_lam = np.array([math.exp(-x) for x in lams])
-    owners, uniforms = [], []
-    for start in range(0, inc.size, _SAMPLE_BLOCK):
-        j = np.arange(start, min(start + _SAMPLE_BLOCK, inc.size))
+    for start in range(0, len(paths) * m, _SAMPLE_BLOCK):
+        j = np.arange(start, min(start + _SAMPLE_BLOCK, len(paths) * m))
         row, k = np.divmod(j, m)
+        at = j + row + 1  # the index in flat of (row, k + 1)
         reset, q = drawn[k], quick[k]
+        # ones: the intervals whose first block drew their one jump
+        ones, draws, owners, counts = at[:0], [], [], []
         if q.any():
             words = _philox_block(key, *_counter_words(paths[row[q]], k[q]))
             u0, u1, u2 = ((w >> 11) * 2.0**-53 for w in words[:3])  # next_double
             e = e_lam[k[q]]
             one, more = u0 > e, u0 * u1 > e
-            owners.append(j[q][one & ~more])
-            uniforms.append(u2[one & ~more])
+            ones = at[q][one & ~more]
+            draws.append(u2[one & ~more])
             reset[q] = one & more
         lo, hi = (w.tolist() for w in _counter_words(paths[row[reset]], k[reset]))
-        for jj, kk, lo_r, hi_r in zip(j[reset].tolist(), k[reset].tolist(), lo, hi):
+        for a, kk, lo_r, hi_r in zip(at[reset].tolist(), k[reset].tolist(), lo, hi):
             state["state"]["counter"] = (0, 0, lo_r, hi_r)
             bits.state = state
             if sds is not None:
-                inc[jj] += stream.normal(0.0, sds[kk])
+                flat[a] += stream.normal(0.0, sds[kk])
             n = int(stream.poisson(lams[kk])) if lams[kk] > 0 else 0
             if n:
-                owners.append(np.full(n, jj))
-                uniforms.append(stream.random(n))
-    owner = np.concatenate([np.zeros(0, dtype=int), *owners])
-    if owner.size:
-        order = np.argsort(owner, kind="stable")
-        jumps = quantile(dec.jump_distribution, np.concatenate(uniforms)[order])
-        counts = np.bincount(owner)
-        jumpy = np.flatnonzero(counts)
-        counts = counts[jumpy]
-        first = np.cumsum(counts) - counts
+                owners.append(a)
+                counts.append(n)
+                draws.append(stream.random(n))
+        if not (ones.size or owners):
+            continue
+        jumps = quantile(dec.jump_distribution, np.concatenate(draws))
+        flat[ones] += jumps[: ones.size]
+        counts = np.array(counts, dtype=int)
+        first = ones.size + np.cumsum(counts) - counts
         total = jumps[first]
-        for r in range(1, counts.max()):
+        for r in range(1, counts.max(initial=0)):
             total[counts > r] += jumps[first[counts > r] + r]
-        inc[jumpy] += total
-    rows = np.concatenate([np.zeros((len(paths), 1)), inc.reshape(len(paths), m)], axis=1)
-    return np.cumsum(rows, axis=1)
+        flat[owners] += total
+    return np.cumsum(out, axis=1, out=out)
 
 
 def empirical_cf(samples, t_grid) -> EmpiricalCF:
@@ -357,14 +361,35 @@ def triangular_array_check(
 # -- CSV artifacts -----------------------------------------------------------------
 
 
-def paths_to_csv(times, values) -> str:
-    """CSV text with columns path_id, time, value; row r of values is path r at times."""
+def _paths_csv_blocks(times, values):
+    """paths_to_csv's text in pieces: the header line, then blocks of at most
+    _CSV_BLOCK rows, each whole paths or, where a path is longer, part of one.
+
+    Each time and each path id is formatted once.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if not (times.ndim == 1 and values.ndim == 2 and values.shape[1] == times.size):
         raise ValueError("values must be 2-d with one column per time")
-    ids = np.repeat(np.arange(len(values)), times.size)
-    return _csv_text("path_id,time,value", ids, np.tile(times, len(values)), values.ravel())
+    yield "path_id,time,value\n"
+    n = times.size
+    if not values.size:
+        return
+    t_cells = [repr(t) for t in times.tolist()]
+    per, span = max(1, _CSV_BLOCK // n), min(n, _CSV_BLOCK)  # paths, times per block
+    for p in range(0, len(values), per):
+        ids = [str(i) for i in range(p, min(p + per, len(values)))]
+        for a in range(0, n, span):
+            block = values[p : p + per, a : a + span]
+            id_cells = chain.from_iterable(map(repeat, ids, repeat(block.shape[1])))
+            v_cells = map(repr, block.ravel().tolist())
+            rows = zip(id_cells, t_cells[a : a + span] * len(ids), v_cells)
+            yield "\n".join(map(",".join, rows)) + "\n"
+
+
+def paths_to_csv(times, values) -> str:
+    """CSV text with columns path_id, time, value; row r of values is path r at times."""
+    return "".join(_paths_csv_blocks(times, values))
 
 
 def empirical_cf_to_csv(ecf: EmpiricalCF) -> str:

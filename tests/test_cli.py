@@ -333,6 +333,29 @@ def test_bad_numeric_option_fails_before_any_write(flag, argv, tmp_path, capsys)
     assert not out.exists() and not cf_out.exists()
 
 
+def test_simulate_failure_after_the_paths_stream_writes_nothing(tmp_path, capsys, monkeypatch) -> None:
+    out, cf_out = tmp_path / "p.csv", tmp_path / "cf.csv"
+    argv = ["simulate", "--catalog", "poisson:1,1", "--epsilon", "0.5", "--steps", "5000",
+            "--paths", "3", "--out", str(out), "--cf-out", str(cf_out)]
+    streamed = []
+
+    def fail(*args, **kwargs):
+        # by now the paths, 15 blocks of rows, are in a temporary file beside --out
+        streamed.extend(path.read_text() for path in tmp_path.iterdir())
+        raise ValueError("the empirical CF failed")
+
+    monkeypatch.setattr(idlaws.simulate, "empirical_cf", fail)
+    code, stdout, _ = run(argv, capsys)
+    assert code == 2 and json.loads(stdout)["error"]["message"] == "the empirical CF failed"
+    assert len(streamed) == 1 and streamed[0].count("\n") == 1 + 3 * 5001
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0 and stdout.split() == [str(out), str(cf_out)]
+    assert sorted(tmp_path.iterdir()) == [cf_out, out]
+    assert out.read_text() == streamed[0]
+
+
 def test_simulate_too_many_steps_fails_before_drawing(tmp_path, capsys) -> None:
     # one path owns 2^20 interval streams; 2^20 + 1 steps is refused up front
     out, cf_out = tmp_path / "paths.csv", tmp_path / "cf.csv"
@@ -351,6 +374,18 @@ def test_missing_law_file_is_io_error(capsys) -> None:
     code, _, stderr = run(["eval", "--law", "/nonexistent/law.json"], capsys)
     assert code == 1
     assert json.loads(stderr)["error"]["code"] == "IOError"
+
+
+@pytest.mark.parametrize("verb", [["eval"], ["convert", "--to", "levy"]])
+def test_out_that_cannot_be_replaced_is_io_error_and_leaves_no_temporary(verb, tmp_path, capsys) -> None:
+    # every verb writes through one temporary file that is renamed onto --out,
+    # here a directory, which the rename refuses
+    out = tmp_path / "artifact"
+    out.mkdir()
+    code, stdout, stderr = run([*verb, "--catalog", "poisson:1,1", "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr)["error"]["code"] == "IOError"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 def test_unknown_catalog_is_domain_error(capsys) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idlaws import cli, divisibility, measure
+from idlaws import cli, divisibility, measure, simulate
 from idlaws.canonical import CompoundPoissonSpec, catalog, log_cf_lk
 from idlaws.divisibility import (
     PHASE_FLIP_THRESHOLD,
@@ -473,9 +473,11 @@ def test_csv_formats_a_mirrored_table_once_per_half(monkeypatch) -> None:
     gauss = law_grid(catalog("gaussian", 0.0, 1.0), 2.0, 7)
     assert reprs(lambda: grid_to_csv(gauss)) == 5 * 4
     assert reprs(lambda: grid_to_csv(one_ulp_off(BENCH_GRID))) == 5 * n
-    # int path ids never take the mirror, even where every float column mirrors
+    # a path table never takes the mirror, even where every float column mirrors:
+    # its own writer formats each of the 3 times once and each of the 3 values
+    monkeypatch.setattr(simulate, "repr", lambda x: calls.append(x) or repr(x), raising=False)
     times, values = np.array([-1.0, 0.0, 1.0]), np.array([[-2.0, 0.0, 2.0]])
-    assert reprs(lambda: paths_to_csv(times, values)) == 3 * 3
+    assert reprs(lambda: paths_to_csv(times, values)) == 3 + 3
 
 
 # -- the exact mirror grid ---------------------------------------------------------

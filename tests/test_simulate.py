@@ -313,6 +313,23 @@ def test_sample_paths_holds_no_python_object_per_path() -> None:
     assert peak < 32 * 2**20
 
 
+def test_sample_paths_settles_each_block_before_the_next() -> None:
+    # 2^16 one-interval paths at lam = 1, about a quarter of whose intervals
+    # reset; call-wide jump lists and first blocks of 2^16 intervals put the
+    # traced peak at 19.4 MiB for this 1 MiB result
+    spec = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=1.0, seed=3)
+    spec.decomposition
+    tracemalloc.start()
+    try:
+        values = sample_paths(spec, [0.0, 1.0], range(1 << 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes == 2**20
+    assert 0.2 < np.mean(values[:, 1] >= 2) < 0.3  # the intervals that reset
+    assert peak < 8 * 2**20
+
+
 def _resets(monkeypatch, spec, times, paths) -> int:
     """Counter resets, one per interval that its first Philox block leaves open."""
     philox, writes = np.random.Philox, [0]
@@ -550,14 +567,37 @@ def test_paths_to_csv_matches_row_by_row_reference() -> None:
     spec = ProcessSpec(law=MIXED_LAW, epsilon=0.01, horizon=3.5, seed=4)
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.5, 3.5])
     poisson = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=3.0, seed=4)
-    long_times = np.linspace(0.0, 3.0, 300)  # 20 x 300 rows: two blocks and a part
+    long_times = np.linspace(0.0, 3.0, 300)  # 20 x 300 rows: blocks of three paths
+    rng = np.random.default_rng(6)
     for t, values in (
         (times, sample_paths(spec, times, range(20))),
         (np.array([0.0, 1e-300]), np.array([[-0.0, -1e300]])),
         (long_times, sample_paths(poisson, long_times, range(20))),
         (np.array([0.0]), np.zeros((0, 1))),
+        # several blocks of one path, and of one time
+        (np.linspace(0.0, 1.0, 2500), rng.standard_cauchy((1, 2500))),
+        (np.array([0.0]), rng.standard_cauchy((3000, 1))),
     ):
         assert paths_to_csv(t, values) == paths_to_csv_rows(t, values)
+
+
+def test_paths_csv_blocks_hold_one_block_at_a_time() -> None:
+    # 2^17 two-time paths, 2^18 rows; a whole-table writer peaks at 11.2 MiB
+    # for this 3.5 MiB text
+    spec = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=1.0, seed=3)
+    times = np.array([0.0, 1.0])
+    values = sample_paths(spec, times, range(1 << 17))
+    size = rows = 0
+    tracemalloc.start()
+    try:
+        for block in simulate._paths_csv_blocks(times, values):
+            assert block.endswith("\n") and block.count("\n") <= simulate._CSV_BLOCK
+            size, rows = size + len(block), rows + block.count("\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + 2**18 and size > 3 * 2**20
+    assert peak < size / 8
 
 
 def test_empirical_cf_to_csv_layout() -> None:
