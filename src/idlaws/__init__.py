@@ -35,8 +35,8 @@ _EXPORTS = {
     ),
     "simulate": (
         "BadTimes", "EmpiricalCF", "ProcessSpec", "ScalingReport", "TriangularArrayReport",
-        "empirical_cf", "empirical_cf_to_csv", "paths_to_csv", "sample_increments",
-        "sample_paths", "scaling_check", "stream_for", "triangular_array_check",
+        "empirical_cf", "empirical_cf_to_csv", "paths_to_csv", "sample_paths",
+        "scaling_check", "triangular_array_check",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -193,12 +193,17 @@ def jump_intensity(G: CanonicalMeasure):
     A cell [a, b] of constant density v becomes density v (1 + 1/(ab)) and
     adds v ln(b/a), as v log1p((b-a)/a); an atom of mass m at u becomes
     m (1+u^2)/u^2 and adds that times u/(1+u^2). Raises InfiniteWeight for
-    mass at u = 0, on a cell touching it, or so near it that nu overflows.
+    mass at u = 0, on a cell touching it, so near it that nu overflows, or at
+    an atom whose weight is not finite in floats (u^2 underflows or overflows).
     """
     locs, masses = G._atom_arrays()
     if np.any(locs == 0.0):
         raise InfiniteWeight("nu is unbounded at the atom u=0")
-    atoms = masses * ((1.0 + locs * locs) / (locs * locs))
+    with np.errstate(all="ignore"):
+        atoms = masses * ((1.0 + locs * locs) / (locs * locs))
+    if not np.all(np.isfinite(atoms)):
+        u = float(locs[~np.isfinite(atoms)][0])
+        raise InfiniteWeight(f"nu's weight (1+u^2)/u^2 is not finite at the atom u={u!r}")
     # atoms summed one by one in their order, as integrate sums them
     center = float(np.cumsum(atoms * (locs / (1.0 + locs * locs)))[-1]) if locs.size else 0.0
     values = np.zeros_like(G.values)
@@ -209,7 +214,7 @@ def jump_intensity(G: CanonicalMeasure):
     with np.errstate(all="ignore"):
         values[keep] = v * (1.0 + 1.0 / (a * b))
         center += float(np.sum(v * np.log1p((b - a) / a)))
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(atoms))):
+    if not np.all(np.isfinite(values)):
         raise InfiniteWeight("nu's mass diverges near u=0")
     nu = CanonicalMeasure(tuple(zip(locs, atoms)), G.edges, values, G.tail_dropped)
     return nu, center

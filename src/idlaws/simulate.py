@@ -50,22 +50,6 @@ def _counter_words(paths: np.ndarray, intervals) -> tuple:
     return (paths << 20) | np.asarray(intervals, dtype=np.uint64), paths >> 44
 
 
-def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
-    """The RNG stream owned by (seed, path, interval).
-
-    Streams are non-overlapping 2^128-step segments of one counter-based
-    Philox sequence, so concurrent path generation is deterministic and
-    draws for different keys never correlate. Each path owns 2^20 interval
-    slots; path indices lie in [0, 2^64).
-    """
-    paths, interval_index = _path_array([path_index]), operator.index(interval_index)
-    if not 0 <= interval_index < _INTERVALS_PER_PATH:
-        raise ValueError("interval_index must lie in [0, 2^20)")
-    lo, hi = _counter_words(paths, interval_index)
-    counter = np.array([0, 0, *lo, *hi], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """A process: canonical pair, truncation level, horizon, and seed."""
@@ -97,32 +81,6 @@ class EmpiricalCF:
     half_widths: np.ndarray
 
 
-def sample_increments(
-    spec: ProcessSpec, duration: float, count: int, stream
-) -> np.ndarray:
-    """Draw independent increments of the given duration, vectorized.
-
-    Stream draw order is fixed (normals, then Poisson counts, then jump
-    uniforms); reproducibility tests pin it.
-    """
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    dec = spec.decomposition
-    out = np.full(count, dec.drift * duration)
-    if dec.gaussian_mass > 0:
-        out += stream.normal(0.0, math.sqrt(dec.gaussian_mass * duration), count)
-    lam = dec.lambda_eps * duration
-    if lam > 0:
-        counts = stream.poisson(lam, count)
-        total = int(counts.sum())
-        if total:
-            jumps = quantile(dec.jump_distribution, stream.random(total))
-            csum = np.concatenate([[0.0], np.cumsum(jumps)])
-            ends = np.cumsum(counts)
-            out += csum[ends] - csum[ends - counts]
-    return out
-
-
 def _mulhilo(m: int, x: np.ndarray) -> tuple:
     """High and low words of the 128-bit products m * x, from 32-bit halves."""
     m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _LOW32)
@@ -148,8 +106,15 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
     """X sampled at the given times on each path, one independent stream per interval:
     row r of the (len(path_indices), len(times)) array is the path of path_indices[r].
 
-    Each (path, interval) draws what its stream_for stream would, in
-    sample_increments' order. Intervals are settled _SAMPLE_BLOCK at a time.
+    Interval k of path p (p in [0, 2^64), k < 2^20) draws from a
+    Generator on Philox(key=spec.seed) at counter (0, 0, lo, hi), the low
+    and high words _counter_words gives for the offset p * 2^20 + k: a
+    segment 2^128 steps long of one Philox sequence, which no other (path,
+    interval) touches.
+    It draws its normal (if the law has a Gaussian part), then its Poisson
+    count of jumps, then one jump uniform per jump. Its increment is drift
+    * gap plus the normal plus the jumps, the uniforms' quantiles in the
+    jump distribution. Intervals are settled _SAMPLE_BLOCK at a time.
     For lam = lambda_eps * gap < 10 and no Gaussian part, numpy's Poisson
     counts running products of uniforms above e^-lam, so the stream's first
     block of four words settles a count of 0 or 1 and its jump uniform; that
@@ -275,10 +240,10 @@ def scaling_check(
     """Verify log phi(t, lam) = lam * log phi(t, 1), exactly and empirically.
 
     The exact half scales the representation (drift and measure both by lam)
-    and compares exponents; the empirical half samples SCALING_DRAWS
-    duration-lam increments and checks the CF estimates against
-    exp(lam * log phi) inside the 3/sqrt(N) envelope at a fraction
-    MIN_ENVELOPE_FRACTION of grid points.
+    and compares exponents; the empirical half samples X(lam) on
+    SCALING_DRAWS paths, lambdas[j] on paths [j N, (j + 1) N), and checks
+    the CF estimates against exp(lam * log phi) inside the 3/sqrt(N)
+    envelope at a fraction MIN_ENVELOPE_FRACTION of grid points.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if any(not lam > 0 for lam in lambdas):
@@ -288,24 +253,13 @@ def scaling_check(
     spec = ProcessSpec(law=law, epsilon=CHECK_EPSILON, horizon=horizon, seed=seed)
     entries = []
     for j, lam in enumerate(lambdas):
-        scaled = scale_law(law, lam)
-        exact_err = float(
-            np.max(np.abs(log_cf_lk(scaled, t_grid) - lam * base_log))
-        )
-        x = sample_increments(spec, lam, SCALING_DRAWS, stream_for(seed, j, 0))
-        est = empirical_cf(x, t_grid)
-        target = np.exp(lam * base_log)
-        inside = np.abs(est.estimates - target) <= est.half_widths
+        exact_err = float(np.max(np.abs(log_cf_lk(scale_law(law, lam), t_grid) - lam * base_log)))
+        paths = range(j * SCALING_DRAWS, (j + 1) * SCALING_DRAWS)
+        est = empirical_cf(sample_paths(spec, [0.0, lam], paths)[:, 1], t_grid)
+        inside = np.abs(est.estimates - np.exp(lam * base_log)) <= est.half_widths
         frac = float(np.mean(inside))
         ok = exact_err < 1e-12 and frac >= MIN_ENVELOPE_FRACTION
-        entries.append(
-            ScalingEntry(
-                lam=float(lam),
-                exact_error=exact_err,
-                envelope_fraction=frac,
-                passed=ok,
-            )
-        )
+        entries.append(ScalingEntry(float(lam), exact_err, frac, ok))
     return ScalingReport(entries=tuple(entries), passed=all(e.passed for e in entries))
 
 
@@ -338,21 +292,25 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 def triangular_array_check(
     law: LevyKhintchinePair, n: int, draws: int = 10_000, seed: int = 0
 ) -> TriangularArrayReport:
-    """Row sums of n duration-1/n draws against direct duration-1 draws.
+    """Row sums of n duration-1/n draws against direct duration-1 draws:
+    X(1) on paths [draws, 2 draws) sampled at the n + 1 times k/n, against
+    X(1) on paths [0, draws) sampled at 0 and 1.
 
     The two samples share a law exactly (the decomposition scales linearly
     in the duration), so the two-sample KS statistic stays below the 1%
-    critical value 1.628 * sqrt(2/draws) up to test error.
+    critical value 1.628 * sqrt(2/draws) up to test error. The row sums are
+    sampled a few paths at a time, so memory stays O(draws), not O(n draws).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if draws < 2:
         raise ValueError("draws must be at least 2")
     spec = ProcessSpec(law=law, epsilon=CHECK_EPSILON, horizon=1.0, seed=seed)
-    direct = sample_increments(spec, 1.0, draws, stream_for(seed, 0, 0))
-    sums = np.zeros(draws)
-    for j in range(n):
-        sums += sample_increments(spec, 1.0 / n, draws, stream_for(seed, 1, j))
+    direct = sample_paths(spec, [0.0, 1.0], range(draws))[:, 1]
+    times, per, sums = np.arange(n + 1) / n, max(1, _SAMPLE_BLOCK // n), np.empty(draws)
+    for p in range(0, draws, per):
+        paths = range(draws + p, draws + min(p + per, draws))
+        sums[p : p + per] = sample_paths(spec, times, paths)[:, -1]
     statistic = ks_statistic(direct, sums)
     critical = KS_CRITICAL_1PCT * math.sqrt((draws + draws) / (draws * draws))
     return TriangularArrayReport(statistic, critical, statistic < critical)

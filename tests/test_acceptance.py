@@ -33,9 +33,8 @@ from idlaws.measure import CanonicalMeasure, total_mass
 from idlaws.simulate import (
     ProcessSpec,
     empirical_cf,
-    sample_increments,
+    sample_paths,
     scaling_check,
-    stream_for,
     triangular_array_check,
 )
 
@@ -194,16 +193,16 @@ def test_criterion_07_uniform_law_refuted() -> None:
 
 
 def test_criterion_08_simulation_fidelity() -> None:
-    # 1e5 Poisson increments: P(X=0) within 0.0046 of e^{-1}; 1e5 Gaussian
-    # increments: CF inside the 3/sqrt(N) envelope at >= 99% of points;
+    # X(1) on 1e5 Poisson paths: P(X=0) within 0.0046 of e^{-1}; on 1e5
+    # Gaussian paths: CF inside the 3/sqrt(N) envelope at >= 99% of points;
     # triangular arrays (Gaussian n=4, Poisson n=3) pass KS at 1%
     t0 = time.perf_counter()
     spec_p = ProcessSpec(law=catalog("poisson", 1.0, 1.0), epsilon=0.5, horizon=2.0, seed=7)
-    x_p = sample_increments(spec_p, 1.0, 100_000, stream_for(7, 0, 0))
+    x_p = sample_paths(spec_p, [0.0, 1.0], range(100_000))[:, 1]
     p0_err = abs(float(np.mean(x_p == 0.0)) - math.exp(-1.0))
 
     spec_g = ProcessSpec(law=catalog("gaussian", 0.0, 1.0), epsilon=0.5, horizon=2.0, seed=3)
-    x_g = sample_increments(spec_g, 1.0, 100_000, stream_for(3, 0, 0))
+    x_g = sample_paths(spec_g, [0.0, 1.0], range(100_000))[:, 1]
     t_grid = np.linspace(-5.0, 5.0, 201)
     est = empirical_cf(x_g, t_grid)
     inside = np.abs(est.estimates - np.exp(-t_grid * t_grid / 2.0)) <= est.half_widths

@@ -1,6 +1,7 @@
 """Tests for the canonical forms, their log-CF evaluation, and conversions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -522,6 +523,15 @@ def test_jump_intensity_rejects_mass_at_zero() -> None:
     # an empty cell across 0 carries no mass and is fine
     nu, center = jump_intensity(CanonicalMeasure.from_density([-1.0, 1.0, 2.0], [0.0, 1.0]))
     assert nu.values[0] == 0.0 and center == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("u", [1e-200, -1e-160, 1e155, 1e200])
+def test_jump_intensity_names_an_atom_whose_weight_is_not_finite(u) -> None:
+    # u^2 underflows to 0 (1e-200) or a subnormal (1e-160), or overflows: the
+    # weight (1+u^2)/u^2 is inf or nan, raised without a numpy warning
+    G = CanonicalMeasure.from_atoms([(2.0, 1.0), (u, 1.0)])
+    with pytest.raises(InfiniteWeight, match=re.escape(f"at the atom u={u!r}")):
+        jump_intensity(G)
 
 
 # -- the kernel's inner Gauss order ------------------------------------------------

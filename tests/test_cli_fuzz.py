@@ -69,6 +69,14 @@ CASES = [
         {"form": "levy", "gamma": 0.0, "sigma2": float("nan"), "measures": {"M": {}, "N": {}}},
         False,
     ),
+    # atoms whose weight (1+u^2)/u^2 is not finite in floats: u^2 underflows
+    # or overflows. approx-cp and simulate drop the atom at 1e-200, below epsilon
+    ("atom-1e-200-levy", ["convert", "--to", "levy"], lk(atoms=[[1e-200, 1.0]]), False),
+    *[
+        (f"atom-{u}-{argv[0]}", argv, lk(atoms=[[u, 1.0]]), False)
+        for u in (1e155, 1e200)
+        for argv in (["convert", "--to", "levy"], ["approx-cp", "--epsilons", "0.5"], ["simulate"])
+    ],
     ("top-level-list", ["eval"], [1, 2], False),
     ("top-level-string", ["eval"], "compound_poisson", False),
     ("wrapped-law-list", ["eval"], {"law": [1]}, False),

@@ -1,6 +1,7 @@
 """Tests for keyed-stream sampling, empirical CFs, and the statistical checks."""
 
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.stats import ks_2samp
 
 from idlaws import simulate
 from idlaws.canonical import LevyKhintchinePair, catalog
-from idlaws.measure import CanonicalMeasure
+from idlaws.measure import CanonicalMeasure, quantile
 from idlaws.simulate import (
     KS_CRITICAL_1PCT,
     BadTimes,
@@ -19,10 +20,8 @@ from idlaws.simulate import (
     empirical_cf_to_csv,
     ks_statistic,
     paths_to_csv,
-    sample_increments,
     sample_paths,
     scaling_check,
-    stream_for,
     triangular_array_check,
 )
 
@@ -73,6 +72,56 @@ def test_path_sample_length_mismatch() -> None:
     for values in (np.array([[0.0]]), np.zeros((2, 3)), np.zeros(2), np.zeros((1, 1, 2))):
         with pytest.raises(ValueError, match="one column per time"):
             paths_to_csv(times, values)
+
+
+# -- the per-interval reference sampler -----------------------------------------------
+
+
+def stream_for(seed: int, path_index: int = 0, interval_index: int = 0):
+    """The RNG stream owned by (seed, path, interval): a Generator on
+    Philox(key=seed) at counter (0, 0, lo, hi), the words of the offset
+    path * 2^20 + interval.
+
+    Streams are non-overlapping 2^128-step segments of one counter-based
+    Philox sequence. Each path owns 2^20 interval slots; path indices lie in
+    [0, 2^64).
+    """
+    paths, interval_index = simulate._path_array([path_index]), operator.index(interval_index)
+    if not 0 <= interval_index < simulate._INTERVALS_PER_PATH:
+        raise ValueError("interval_index must lie in [0, 2^20)")
+    lo, hi = simulate._counter_words(paths, interval_index)
+    counter = np.array([0, 0, *lo, *hi], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def sample_increments(spec, duration: float, count: int, stream) -> np.ndarray:
+    """count independent increments of the given duration from one stream,
+    which draws the normals, then the Poisson counts, then the jump uniforms."""
+    dec = spec.decomposition
+    out = np.full(count, dec.drift * duration)
+    if dec.gaussian_mass > 0:
+        out += stream.normal(0.0, math.sqrt(dec.gaussian_mass * duration), count)
+    lam = dec.lambda_eps * duration
+    if lam > 0:
+        counts = stream.poisson(lam, count)
+        total = int(counts.sum())
+        if total:
+            jumps = quantile(dec.jump_distribution, stream.random(total))
+            csum = np.concatenate([[0.0], np.cumsum(jumps)])
+            ends = np.cumsum(counts)
+            out += csum[ends] - csum[ends - counts]
+    return out
+
+
+def reference_path(spec, times, path_index=0):
+    """sample_paths' reference: a fresh stream_for stream and one
+    sample_increments increment per interval."""
+    times = np.asarray(times, dtype=float)
+    values = np.zeros(times.size)
+    for k, gap in enumerate(np.diff(times)):
+        stream = stream_for(spec.seed, path_index, k)
+        values[k + 1] = values[k] + sample_increments(spec, float(gap), 1, stream)[0]
+    return values
 
 
 def test_stream_for_is_deterministic() -> None:
@@ -153,11 +202,11 @@ def test_path_indices_outside_uint64_raise_before_drawing(path, monkeypatch) -> 
 def test_drift_only_increment_is_exact() -> None:
     spec = ProcessSpec(law=catalog("gaussian", 1.0, 0.0), epsilon=0.1, horizon=9.0, seed=0)
     for d in (0.25, 1.0, 3.5):
-        assert sample_increments(spec, d, 1, stream_for(0, 0, 0))[0] == d
+        assert sample_paths(spec, [0.0, d], [0])[0, 1] == d
 
 
 def test_poisson_increment_zero_probability(poisson_spec) -> None:
-    x = sample_increments(poisson_spec, 1.0, 100_000, stream_for(7, 0, 0))
+    x = sample_paths(poisson_spec, [0.0, 1.0], range(100_000))[:, 1]
     assert np.all(x == np.round(x)) and np.all(x >= 0)
     # binomial 3-sigma band around e^{-1}: 3 sqrt(p(1-p)/N) = 0.0046
     assert abs(np.mean(x == 0.0) - math.exp(-1.0)) < 0.0046
@@ -165,14 +214,16 @@ def test_poisson_increment_zero_probability(poisson_spec) -> None:
 
 def test_gaussian_increment_variance() -> None:
     spec = ProcessSpec(law=catalog("gaussian", 0.0, 1.0), epsilon=0.1, horizon=5.0, seed=3)
-    x = sample_increments(spec, 4.0, 100_000, stream_for(3, 0, 0))
+    x = sample_paths(spec, [0.0, 4.0], range(100_000))[:, 1]
     # chi-square band: 3 sigma of the sample variance is 3 * 4 sqrt(2/N) = 0.054
     assert abs(np.var(x) - 4.0) < 0.06
 
 
 def test_increments_reject_bad_duration(poisson_spec) -> None:
-    with pytest.raises(ValueError):
-        sample_increments(poisson_spec, 0.0, 5, stream_for(7, 0, 0))
+    # an interval of zero duration, first or later, is refused as BadTimes
+    for times in ([0.0, 0.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(BadTimes):
+            sample_paths(poisson_spec, times, range(5))
 
 
 # -- paths --------------------------------------------------------------------------
@@ -211,6 +262,8 @@ def test_path_rejects_bad_times(monkeypatch) -> None:
     bad_times = (
         [0.5, 1.0],
         [0.0, 1.0, 0.5],
+        [0.0, 0.0],  # an interval of zero duration
+        [0.0, 1.0, 1.0],
         [0.0, 3.0],  # past horizon
         [0.0, math.nan, 1.0],
         [0.0, 1.0, math.nan],
@@ -228,22 +281,10 @@ def test_path_rejects_bad_times(monkeypatch) -> None:
 def test_split_interval_matches_single(poisson_spec) -> None:
     # same total duration, one draw vs sum of two independent halves
     n = 10_000
-    direct = sample_increments(poisson_spec, 1.0, n, stream_for(7, 0, 0))
-    halves = sample_increments(poisson_spec, 0.5, n, stream_for(7, 1, 0))
-    halves = halves + sample_increments(poisson_spec, 0.5, n, stream_for(7, 1, 1))
+    direct = sample_paths(poisson_spec, [0.0, 1.0], range(n))[:, 1]
+    halves = sample_paths(poisson_spec, [0.0, 0.5, 1.0], range(n, 2 * n))[:, 2]
     stat = ks_2samp(direct, halves).statistic
     assert stat < KS_CRITICAL_1PCT * math.sqrt(2.0 / n)
-
-
-def reference_path(spec, times, path_index=0):
-    """The former sampler: a fresh stream_for stream and one increment per
-    interval, kept as the reference for sample_paths' single generator."""
-    times = np.asarray(times, dtype=float)
-    values = np.zeros(times.size)
-    for k, gap in enumerate(np.diff(times)):
-        stream = stream_for(spec.seed, path_index, k)
-        values[k + 1] = values[k] + sample_increments(spec, float(gap), 1, stream)[0]
-    return values
 
 
 _UNEVEN = np.cumsum(np.r_[0.0, np.random.default_rng(3).exponential(0.05, 50)])
@@ -503,6 +544,22 @@ def test_triangular_array_poisson() -> None:
     assert rep.critical == KS_CRITICAL_1PCT * math.sqrt(2.0 / 10_000)
 
 
+def test_triangular_array_check_holds_o_draws_floats() -> None:
+    # n = 200, 1,000 draws: the row sums as one (draws, n + 1) path sample put
+    # the traced peak at 3.5 MiB, 1.5 MiB of it the paths; chunks of paths
+    # peak at 1.5 MiB, and one 1,000-increment stream per row at 0.1 MiB
+    law = catalog("poisson", 1.0, 1.0)
+    triangular_array_check(law, 2, draws=10, seed=2)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        rep = triangular_array_check(law, 200, draws=1000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 2.5 * 2**20
+
+
 # -- process invariants ---------------------------------------------------------------
 
 
@@ -536,7 +593,7 @@ def test_cauchy_truncation_bias_decreases() -> None:
     gaps = []
     for j, eps in enumerate([0.5, 0.1, 0.02]):
         spec = ProcessSpec(law=law, epsilon=eps, horizon=1.0, seed=13)
-        x = sample_increments(spec, 1.0, 100_000, stream_for(13, j, 0))
+        x = sample_paths(spec, [0.0, 1.0], range(j * 100_000, (j + 1) * 100_000))[:, 1]
         e = empirical_cf(x, t)
         gaps.append(float(np.max(np.abs(e.estimates - target))))
     assert gaps[0] > gaps[1] > gaps[2]
