@@ -514,10 +514,17 @@ def fourier_transform(m: CanonicalMeasure, ts):
     keep = m.values * widths > 0
     if not (locs.size or keep.any()):
         return 0j if shape == () else np.zeros(shape, dtype=complex)
-    centers = (0.5 * (m.edges[:-1] + m.edges[1:]))[keep]
-    us = np.concatenate([locs, centers])
-    hw = np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]])
-    ws = np.concatenate([masses, (m.values * widths)[keep]])
+    out = _term_transform(  # the terms go in unnamed, so the kernel's sorted copies replace them
+        np.concatenate([locs, (0.5 * (m.edges[:-1] + m.edges[1:]))[keep]]),
+        np.concatenate([np.zeros(locs.size), (0.5 * widths)[keep]]),
+        np.concatenate([masses, (m.values * widths)[keep]]),
+        tt,
+    )
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _term_transform(us, hw, ws, tt):
+    """fourier_transform's sum of ws e^{it us} sinc(t hw) over 1-d terms, at each t of 1-d tt."""
     # keys sorted by (h, |c|), the atoms' h = 0 first; the terms of a key (one, or
     # a mirrored pair) sum into its even and odd weights
     order = np.lexsort((np.abs(us), hw))
@@ -535,7 +542,7 @@ def fourier_transform(m: CanonicalMeasure, ts):
     mass = float(np.sum(even))
     tsinc = np.empty(n)
     wk = np.empty(n, dtype=complex)
-    out = np.empty(tt.shape, dtype=complex)
+    out = np.empty(tt.size, dtype=complex)
     for k, (t, phase, off) in enumerate(_phase_run(tt, np.concatenate([au, hw[n0:]]))):
         if not t:
             out[k] = mass
@@ -548,7 +555,7 @@ def fourier_transform(m: CanonicalMeasure, ts):
         np.multiply(phase[:n], tsinc, out=wk)
         (re, _), (_, im), (_, cim), (cre, _) = rows @ wk.view(float).reshape(-1, 2)
         out[k] = complex((re - off * cim) / t, (im + off * cre) / t)
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return out
 
 
 def _phase_run(tt, us):

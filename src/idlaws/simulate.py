@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import LevyKhintchinePair, TruncationResult, log_cf_lk, scale_law, truncate_cp
-from .measure import _CSV_BLOCK, _csv_text, quantile
+from .measure import _CSV_BLOCK, _csv_text, _term_transform, hermitian_fold, quantile
 
 
 class BadTimes(ValueError):
@@ -25,8 +25,7 @@ class BadTimes(ValueError):
 
 # intervals per path in the stream layout; paths are spaced this far apart
 _INTERVALS_PER_PATH = 1 << 20
-# (t x sample) elements empirical_cf exponentiates at a time (one row of t if
-# the samples alone are more); 1 MB of complex, which stays in cache
+# samples empirical_cf transforms per kernel call, which bounds its temporaries
 _CF_BLOCK = 1 << 16
 # (path, interval) pairs sample_paths settles at a time, which keeps the
 # uint64 temporaries of their first Philox blocks near 1 MB
@@ -190,19 +189,23 @@ def sample_paths(spec: ProcessSpec, times, path_indices: Sequence[int]) -> np.nd
 
 
 def empirical_cf(samples, t_grid) -> EmpiricalCF:
-    """Mean of e^{it x} per grid point, with the 3/sqrt(N) envelope."""
+    """Mean of e^{it x} per t: the sample measure's transform, with the 3/sqrt(N) envelope."""
     samples = np.asarray(samples, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    for name, a in (("samples", samples), ("t_grid", t_grid)):
+        if a.ndim != 1:
+            raise ValueError(f"{name} must be 1-d, not {a.ndim}-d")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
-    t_grid = np.asarray(t_grid, dtype=float)
-    reach = float(np.max(np.abs(t_grid), initial=0.0)) * float(np.max(np.abs(samples)))
+    reach = math.prod(float(max(-a.min(initial=0), a.max(initial=0))) for a in (samples, t_grid))
     if not math.isfinite(reach):  # a float product, which overflows to inf silently
         raise ValueError("t x sample overflows float; the empirical CF would not be finite")
-    estimates = np.empty(t_grid.size, dtype=complex)
-    rows = max(1, _CF_BLOCK // samples.size)
-    for i in range(0, t_grid.size, rows):
-        estimates[i : i + rows] = np.mean(np.exp(1j * t_grid[i : i + rows, None] * samples), axis=1)
-    # the mean of N ones is N * (1/N), which is not 1 for every N (49 is not)
+    parts = np.split(samples, range(_CF_BLOCK, samples.size, _CF_BLOCK))  # a kernel call each
+    atoms = lambda x: (x, np.zeros(x.size), np.full(x.size, 1 / samples.size))
+    estimates = hermitian_fold(lambda t: sum(_term_transform(*atoms(x), t) for x in parts), t_grid)
+    # the N weights 1/N need not sum to 1 (for N = 49 they do not)
     estimates[t_grid == 0.0] = 1.0
     mod = np.abs(estimates)
     over = mod > 1.0

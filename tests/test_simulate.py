@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp
 
 from idlaws import simulate
 from idlaws.canonical import LevyKhintchinePair, catalog
-from idlaws.measure import CanonicalMeasure, quantile
+from idlaws.measure import _PHASE_ANCHOR_EVERY, CanonicalMeasure, _mirror, quantile, symmetric_grid
 from idlaws.simulate import (
     KS_CRITICAL_1PCT,
     BadTimes,
@@ -438,12 +438,38 @@ def test_sample_path_rejects_bad_layout_before_drawing(monkeypatch) -> None:
 # -- empirical CF -------------------------------------------------------------------
 
 
+def cf_rounding_bound(samples, t) -> float:
+    """How far rounding lets empirical_cf and empirical_cf_per_t part, derived.
+
+    With u = eps / 2, T = max|t|, X = max|x| and E = _PHASE_ANCHOR_EVERY, each
+    route against the exact mean of e^{itx}:
+    - phase arguments. The reference rounds t x, by <= u T X. The kernel rounds
+      the same product where it takes a direct exponential; on a uniform grid
+      it rounds an anchor's t0 |x| (<= u T X) and then steps j < E times by a
+      rounded dt |x|, with j |dt| <= 2T (<= 2 u T X). Together <= 4 u T X.
+    - phase values: <= 3u per exponential or complex product (each component
+      within an ulp or two roundings). The reference takes one exponential; the
+      recurrence one, then per step an exponential and a product, <= 3u (2j + 1);
+      the kernel's scaling by t and 1/t and its weight 1/N add 3u. Together
+      <= 3u (2E + 1). The first-order correction for a t's rounding off the
+      progression (a few u T on these grids) leaves (x off)^2 / 2, second
+      order in u T X and below it while T X < 1e14.
+    - sums. Summing N terms of modulus 1/N in any order errs by <= (N - 1) u
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, eq. 4.4),
+      so < N eps for both sums together.
+    The modulus clip projects onto the unit disc, which lengthens no distance.
+    """
+    reach = float(np.max(np.abs(t))) * float(np.max(np.abs(samples)))
+    return np.finfo(float).eps * (2.0 * reach + 1.5 * (2 * _PHASE_ANCHOR_EVERY + 1) + samples.size)
+
+
 def test_empirical_cf_constants() -> None:
     t = np.linspace(-5.0, 5.0, 11)
     e = empirical_cf(np.zeros(3), t)
     assert np.all(e.estimates == 1.0)
-    e1 = empirical_cf(np.array([1.0]), t)
-    assert np.max(np.abs(e1.estimates - np.exp(1j * t))) == 0.0
+    one = np.array([1.0])
+    e1 = empirical_cf(one, t)
+    assert np.max(np.abs(e1.estimates - np.exp(1j * t))) <= cf_rounding_bound(one, t)
     assert np.all(e.half_widths == 3.0 / math.sqrt(3.0))
 
 
@@ -484,27 +510,51 @@ def empirical_cf_per_t(samples, t_grid) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 49, 4097, 100_000])
 def test_empirical_cf_matches_per_t_reference(n) -> None:
     rng = np.random.default_rng(n)
-    t = np.concatenate([np.linspace(-5.0, 5.0, 21), [-0.0, 1e-300, 40.0]])
-    for samples in (rng.standard_cauchy(n), -np.abs(rng.normal(size=n))):
-        got = empirical_cf(samples, t).estimates
-        want = empirical_cf_per_t(samples, t)
-        # bits, sign bits included: the CSV writes repr, where -0.0 is not 0.0
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    grids = [np.concatenate([np.linspace(-5.0, 5.0, 21), [-0.0, 1e-300, 40.0]])]
+    if n <= 49:  # the CLI's grid, on the phase recurrence (the per-t reference is slow there)
+        grids.append(symmetric_grid(41.0, 4101))
+    for samples in (rng.standard_cauchy(n), -np.abs(rng.normal(size=n)), rng.poisson(3.0, n) - 3.0):
+        for t in grids:
+            gap = np.abs(empirical_cf(samples, t).estimates - empirical_cf_per_t(samples, t))
+            assert np.max(gap) <= cf_rounding_bound(samples, t)
 
 
-def test_empirical_cf_exponentiates_bounded_blocks(monkeypatch) -> None:
-    sizes, exp = [], np.exp
+def test_empirical_cf_memory_does_not_grow_with_samples() -> None:
+    # the kernel holds about two dozen float arrays the size of one block of
+    # _CF_BLOCK samples, under 256 B a sample (16 MiB at 2^16), whatever N; a
+    # direct mean over (t x sample) held 32 B a sample, 32 MiB at 2^20
+    samples = np.random.default_rng(2).normal(size=1 << 20)
+    tracemalloc.start()
+    try:
+        empirical_cf(samples, symmetric_grid(5.0, 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * simulate._CF_BLOCK
 
-    def sized_exp(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "exp", sized_exp)
-    empirical_cf(np.linspace(-1.0, 1.0, 5000), np.linspace(-5.0, 5.0, 201))
-    assert sum(sizes) == 5000 * 201 and max(sizes) <= simulate._CF_BLOCK
-    sizes.clear()
-    empirical_cf(np.linspace(-1.0, 1.0, 70_000), np.linspace(-1.0, 1.0, 3))
-    assert sizes == [70_000] * 3
+def test_empirical_cf_is_an_exact_mirror_on_a_mirrored_grid() -> None:
+    t = symmetric_grid(5.0, 101)
+    e = empirical_cf(np.random.default_rng(8).standard_cauchy(1000), t).estimates
+    assert np.array_equal(e[::-1], np.conj(e))
+    # bit for bit off the middle row, so empirical_cf_to_csv formats only t >= 0
+    assert [_mirror(c, t.size // 2) for c in (t, e.real, e.imag)] == [True, False, True]
+
+
+@pytest.mark.parametrize(
+    ("samples", "t", "message"),
+    [
+        ([np.nan], [0.0, 1.0], "samples must be finite"),
+        ([np.inf], [0.0], "samples must be finite"),
+        ([1.0], [np.nan], "t_grid must be finite"),
+        ([[1.0, 2.0]], [0.0, 1.0], "samples must be 1-d"),
+        ([1.0], [[0.0, 1.0]], "t_grid must be 1-d"),
+        ([1e308], [10.0], "overflows float"),
+    ],
+)
+def test_empirical_cf_names_bad_input(samples, t, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        empirical_cf(np.array(samples), np.array(t))
 
 
 # -- scaling and triangular-array checks ----------------------------------------------
